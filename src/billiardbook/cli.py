@@ -52,20 +52,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=float, default=None)
     p.add_argument("--seed", type=int, default=None, help="random initial state seed")
     p.add_argument("--samples-per-segment", type=int, default=None)
-    p.add_argument("--svg", action="store_true", help="also draw the orbit and annulus")
+    # store-true flags default to None so that an unset flag defers to --config
+    p.add_argument(
+        "--svg", action="store_true", default=None, help="also draw the orbit and annulus"
+    )
 
     p = sub.add_parser("diagram", help="bifurcation diagram CSV (and SVG)")
     common(p)
     p.add_argument("--f-min", type=float, default=None)
     p.add_argument("--f-max", type=float, default=None)
     p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--svg", action="store_true")
+    p.add_argument("--svg", action="store_true", default=None)
 
     p = sub.add_parser("classify", help="classify fibers at a value or on a grid")
     common(p)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--f", type=float, default=None)
-    p.add_argument("--grid", action="store_true")
+    p.add_argument("--grid", action="store_true", default=None)
     p.add_argument("--h-min", type=float, default=None)
     p.add_argument("--h-max", type=float, default=None)
     p.add_argument("--f-min", type=float, default=None)
@@ -81,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--f", type=float, required=True)
-    p.add_argument("--compare-sim", action="store_true")
+    p.add_argument("--compare-sim", action="store_true", default=None)
 
     p = sub.add_parser("monodromy", help="continue theta along a loop, report m")
     common(p)
@@ -231,7 +234,6 @@ def _cmd_rotation(args, cfg: _Config, out: Path) -> int:
         "T_r": sample.T_r,
         "dphi": sample.dphi,
         "theta": sample.theta,
-        "quad_error": sample.quad_error,
         "config": cfg.resolved,
     }
     if cfg.get("compare-sim", False):

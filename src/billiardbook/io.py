@@ -141,7 +141,7 @@ def monodromy_report_dict(report: MonodromyReport, provenance: dict | None = Non
     doc = {
         "m": report.m,
         "delta_theta": report.delta_theta,
-        "residual": report.residual,
+        "unwrap_margin": report.unwrap_margin,
         "monodromy_matrix": [list(row) for row in report.monodromy_matrix],
         "gluing_matrix_hpos": (
             [list(row) for row in report.gluing_matrix_hpos]

@@ -71,13 +71,16 @@ def inner_radius(h: float, f: float, k: float) -> float:
     """
     if not in_image(h, f, k):
         raise ValidationError(f"({h}, {f}) is outside the momentum-map image")
+    return math.sqrt(max(inner_radius_squared(h, f, k), 0.0))
+
+
+def inner_radius_squared(h: float, f: float, k: float) -> float:
+    """rho0 = r0^2, the root >= 0 of -k rho^2 + 2h rho - f^2 (no image check)."""
     root = math.sqrt(h * h - k * f * f)
     if h > 0.0:
         # avoid cancellation of -h + root for small f
-        rho0 = f * f / (root + h)
-    else:
-        rho0 = (-h + root) / (-k)
-    return math.sqrt(max(rho0, 0.0))
+        return f * f / (root + h)
+    return (-h + root) / (-k)
 
 
 def annulus(h: float, f: float, k: float) -> tuple[float, float]:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import billiardbook
 from billiardbook import io
 from billiardbook.cli import main
 
@@ -57,6 +62,22 @@ class TestSimulate:
         meta, rows = io.read_trajectory_csv(tmp_path / "trajectory.csv")
         assert meta["n"] == 2
         assert rows[-1]["segment"] == 4
+
+    def test_config_file_sets_store_true_flags(self, tmp_path, capsys):
+        def config(**doc):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(doc))
+            return ["--config", str(path), "--out-dir", str(tmp_path)]
+
+        assert main(config(svg=True, k=-1.0, reflections=5, seed=1) + ["simulate"]) == 0
+        assert (tmp_path / "orbit.svg").exists()
+        assert main(config(grid=True, k=-1.0, resolution=5) + ["classify"]) == 0
+        assert (tmp_path / "classification.csv").exists()
+        capsys.readouterr()
+        assert main(
+            config(**{"compare-sim": True, "k": -1.0}) + ["rotation", "--h", "0.375", "--f", "0.5"]
+        ) == 0
+        assert "dphi_sim" in json.loads(capsys.readouterr().out)
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BILLIARDBOOK_OUT", str(tmp_path / "envout"))
@@ -138,6 +159,7 @@ class TestMonodromy:
             "r_hneg": "inf", "r_hpos": "1/3", "epsilon": 1, "derived_from_m": 3,
         }
         assert doc["config"]["c"] == 0.5
+        assert 0.0 < doc["unwrap_margin"] < 1.0
         rows = io.read_continuation_csv(tmp_path / "continuation.csv")
         assert rows[0]["arc_index"] == 0
         span = rows[-1]["theta_unwrapped"] - rows[0]["theta_unwrapped"]
@@ -155,3 +177,12 @@ class TestPlot:
              "--trajectory", str(tmp_path / "trajectory.csv")]
         ) == 0
         assert "<polyline" in (tmp_path / "orbit.svg").read_text()
+
+
+def test_cli_import_does_not_load_scipy():
+    # a fresh interpreter, since this one may have imported scipy elsewhere
+    path = [str(Path(billiardbook.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, billiardbook.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
