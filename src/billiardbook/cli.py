@@ -19,7 +19,7 @@ import numpy as np
 from . import io
 from .dynamics import simulate
 from .linearization import pencil_eigenvalues
-from .model import BookTable, ConvergenceError, PhaseState, ValidationError, validate_table
+from .model import BookTable, ConvergenceError, PhaseState, ValidationError
 from .momentum import bifurcation_diagram, classify_fiber, in_image, inner_radius, momentum_map
 from .monodromy import (
     continue_theta,
@@ -127,7 +127,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _table(cfg: _Config) -> BookTable:
     k = cfg.get("k", -1.0)
     n = cfg.get("sheets", 1)
-    return validate_table(k=k, sheets=n)
+    return BookTable(k=k, sheets=n)
 
 
 def _cmd_simulate(args, cfg: _Config, out: Path) -> int:
@@ -263,25 +263,19 @@ def _cmd_monodromy(args, cfg: _Config, out: Path) -> int:
 
 def _cmd_plot(args, cfg: _Config, out: Path) -> int:
     meta, rows = io.read_trajectory_csv(args.trajectory)
-    table = validate_table(k=meta["k"], sheets=meta["n"])
-    # rebuild a polyline per sheet directly as pseudo-segments
-    from .dynamics import TrajectorySegment
-
-    segments = []
+    table = BookTable(k=meta["k"], sheets=meta["n"])
+    # one polyline per segment, through the sampled CSV rows themselves
     by_segment: dict[int, list[dict]] = {}
     for row in rows:
         by_segment.setdefault(row["segment"], []).append(row)
-    for idx in sorted(by_segment):
-        pts = by_segment[idx]
-        start = PhaseState(pts[0]["sheet"], pts[0]["x"], pts[0]["y"], pts[0]["vx"], pts[0]["vy"])
-        end = PhaseState(pts[-1]["sheet"], pts[-1]["x"], pts[-1]["y"], pts[-1]["vx"], pts[-1]["vy"])
-        segments.append(
-            TrajectorySegment(start, pts[-1]["t"] - pts[0]["t"], end, reflected=True)
-        )
+    polylines = [
+        (pts[0]["sheet"], [(row["x"], row["y"]) for row in pts])
+        for _, pts in sorted(by_segment.items())
+    ]
     h, f = rows[0]["h"], rows[0]["f"]
     inner = inner_radius(h, f, table.k) if in_image(h, f, table.k) else None
     output = args.output or out / "orbit.svg"
-    io.write_orbit_svg(output, table, segments, inner=inner)
+    io.write_polylines_svg(output, polylines, inner=inner)
     print(output)
     return 0
 

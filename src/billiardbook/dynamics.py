@@ -1,9 +1,17 @@
 """Exact piecewise-analytic trajectory propagation.
 
-Between wall hits the motion solves ``x'' = -k x`` with ``k < 0``, so it is a
-closed-form hyperbolic flow; the wall-hit time reduces to a quadratic in
-``exp(2*omega*t)``. No ODE integrator is involved, which makes conservation of
-energy and angular momentum a test oracle instead of an error source.
+Between wall hits the motion solves ``x'' = -k x`` with ``k < 0``. With
+``w = sqrt(-k)`` and the light-cone halves ``a = (x + v/w)/2`` and
+``b = (x - v/w)/2`` of a state the flow is
+
+    x(t) = a e^{wt} + b e^{-wt},    v(t) = w (a e^{wt} - b e^{-wt}),
+
+so ``r^2 = |a|^2 u + 2 a.b + |b|^2/u`` with ``u = e^{2wt}``: the wall-hit time
+is the larger root of a quadratic in ``u`` and the closest approach to the
+center sits at ``u = |b|/|a|``. The stable manifold of the equilibrium is
+exactly ``a = 0``. No ODE integrator and no iteration is involved, which makes
+conservation of ``H = -2 w^2 a.b`` and ``F = -2 w a x b`` a test oracle
+instead of an error source.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ from dataclasses import dataclass
 
 from .model import BookTable, PhaseState, ValidationError
 
-#: tolerance on |r^2 - 1| accepted by reflect()
+#: a state with |r^2 - 1| below this is on the wall: reflect() accepts it, and
+#: time_to_boundary() and simulate() accept it as a start
 BOUNDARY_TOL = 1e-9
 #: |v . n| below this at a wall hit is treated as a tangential (grazing) hit
 GRAZING_TOL = 1e-12
@@ -35,6 +44,12 @@ class TrajectorySegment:
     boundary_orbit: bool = False
 
 
+def _halves(state: PhaseState, w: float) -> tuple[float, float, float, float]:
+    """Light-cone halves a = (x + v/w)/2 and b = (x - v/w)/2 as (ax, ay, bx, by)."""
+    px, py = state.vx / w, state.vy / w
+    return 0.5 * (state.x + px), 0.5 * (state.y + py), 0.5 * (state.x - px), 0.5 * (state.y - py)
+
+
 def flow_free(state: PhaseState, t: float, k: float) -> PhaseState:
     """Propagate the in-disk Hooke flow for time t (no wall check)."""
     if t < 0:
@@ -42,75 +57,42 @@ def flow_free(state: PhaseState, t: float, k: float) -> PhaseState:
     if not k < 0:
         raise ValidationError("k must be negative")
     w = math.sqrt(-k)
-    c = math.cosh(w * t)
-    s = math.sinh(w * t)
-    return PhaseState(
-        state.sheet,
-        state.x * c + state.vx / w * s,
-        state.y * c + state.vy / w * s,
-        state.x * w * s + state.vx * c,
-        state.y * w * s + state.vy * c,
-    )
-
-
-def _radial_coefficients(state: PhaseState, w: float) -> tuple[float, float, float]:
-    """Coefficients of r^2(t) - 1 = A cosh(2wt) + B sinh(2wt) + C."""
-    r2 = state.r2
-    v2w = state.speed2 / (w * w)
-    a = 0.5 * (r2 + v2w)
-    b = (state.x * state.vx + state.y * state.vy) / w
-    c = 0.5 * (r2 - v2w) - 1.0
-    return a, b, c
+    ax, ay, bx, by = _halves(state, w)
+    e = math.exp(w * t)
+    ax, ay, bx, by = ax * e, ay * e, bx / e, by / e
+    return PhaseState(state.sheet, ax + bx, ay + by, w * (ax - bx), w * (ay - by))
 
 
 def time_to_boundary(state: PhaseState, k: float) -> float:
-    """Smallest t > 0 with r(t) = 1 under the free flow.
+    """Smallest t >= 0 with r(t) = 1 under the free flow.
 
-    Substituting u = exp(2wt) turns r^2(t) = 1 into a quadratic in u; the
-    relevant crossing is the larger root, polished by Newton steps on
-    r^2(t) - 1 until the residual is below 1e-13.
+    u = exp(2wt) is the larger root of |a|^2 u^2 - (1 - 2a.b) u + |b|^2 = 0.
+    On the closed disk 1 - 2a.b >= 1/2 and the discriminant
+    (1 - r^2)(1 + |v/w|^2) + (x.v/w)^2 is a sum of non-negative terms, so the
+    root has no cancellation. A start within BOUNDARY_TOL outside the wall
+    counts as on it; a start on the wall moving outward returns 0.
     """
     if not k < 0:
         raise ValidationError("k must be negative")
-    w = math.sqrt(-k)
-    if state.r2 > 1.0 + 1e-9:
+    r2 = state.r2
+    if r2 - 1.0 > BOUNDARY_TOL:
         raise ValidationError("state lies outside the closed unit disk")
-    if state.r2 == 0.0 and state.speed2 == 0.0:
-        raise ValidationError("state at rest at the origin is a fixed point")
-
-    a, b, c = _radial_coefficients(state, w)
-    # quadratic (A+B) u^2 + 2C u + (A-B) = 0
-    qa = a + b
-    qb = 2.0 * c
-    qc = a - b
-    if qa <= 0.0:
-        # v = -w*r exactly: the inbound stable ray, asymptotic to the origin
+    w = math.sqrt(-k)
+    ax, ay, _, _ = _halves(state, w)
+    a2 = ax * ax + ay * ay
+    if a2 == 0.0:
+        # v = -w*x: the inbound stable ray (or rest at the origin)
         raise ValidationError(
             "state lies on the stable manifold of the equilibrium and never "
             "reaches the boundary"
         )
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        raise ValidationError("no boundary crossing found (internal error)")
-    u = (-qb + math.sqrt(disc)) / (2.0 * qa)
-    if u <= 1.0 + 1e-15:
-        # boundary start moving outward or tangentially
-        if state.r2 >= 1.0 - 1e-9:
-            return 0.0
-        raise ValidationError("no forward boundary crossing (internal error)")
-    t = math.log(u) / (2.0 * w)
-
-    for _ in range(3):
-        ch = math.cosh(2.0 * w * t)
-        sh = math.sinh(2.0 * w * t)
-        g = a * ch + b * sh + c
-        if abs(g) < 1e-13:
-            break
-        gp = 2.0 * w * (a * sh + b * ch)
-        if gp == 0.0:
-            break
-        t -= g / gp
-    return t
+    s = state.speed2 / -k
+    xv = (state.x * state.vx + state.y * state.vy) / w
+    disc = max(1.0 - r2, 0.0) * (1.0 + s) + xv * xv
+    # u = (1 - 2a.b + sqrt(disc)) / (2|a|^2) with 2a.b = (r^2 - |v/w|^2)/2,
+    # taken as a difference of logs since u overflows when |a|^2 is tiny
+    log_u = math.log(1.0 - 0.5 * (r2 - s) + math.sqrt(disc)) - math.log(2.0 * a2)
+    return max(log_u, 0.0) / (2.0 * w)
 
 
 def reflect(table: BookTable, state: PhaseState) -> PhaseState:
@@ -151,19 +133,27 @@ def _boundary_orbit_segment(state: PhaseState, duration: float) -> TrajectorySeg
 
 
 def segment_min_radius(segment: TrajectorySegment, k: float) -> float:
-    """Exact minimum of r over a free-flow segment (closed form)."""
+    """Exact minimum of r over a free-flow segment (closed form).
+
+    r^2 = |a|^2 u + 2a.b + |b|^2/u is least at u = |b|/|a|, where it equals
+    2(|a||b| + a.b) = (f/w)^2 / (2(|a||b| - a.b)); the second form avoids the
+    cancellation when a.b < 0.
+    """
     if segment.boundary_orbit:
         return 1.0
     w = math.sqrt(-k)
-    a, b, c = _radial_coefficients(segment.start, w)
-    candidates = [segment.start.r2, segment.end.r2]
-    if a > 0.0 and abs(b) < a:
-        t_min = math.atanh(-b / a) / (2.0 * w)
-        if 0.0 < t_min < segment.duration:
-            ch = math.cosh(2.0 * w * t_min)
-            sh = math.sinh(2.0 * w * t_min)
-            candidates.append(a * ch + b * sh + c + 1.0)
-    return math.sqrt(max(min(candidates), 0.0))
+    start = segment.start
+    ax, ay, bx, by = _halves(start, w)
+    na, nb = math.hypot(ax, ay), math.hypot(bx, by)
+    candidates = [start.r2, segment.end.r2]
+    if 0.0 < na < nb and math.log(nb / na) < 2.0 * w * segment.duration:
+        ab = ax * bx + ay * by
+        if ab >= 0.0:
+            candidates.append(2.0 * (na * nb + ab))
+        else:
+            f = start.x * start.vy - start.y * start.vx
+            candidates.append((f / w) ** 2 / (2.0 * (na * nb - ab)))
+    return math.sqrt(min(candidates))
 
 
 def sample_segment(segment: TrajectorySegment, k: float, count: int) -> list[PhaseState]:
@@ -200,7 +190,7 @@ def simulate(
         raise ValidationError("max_time must be positive")
 
     k = table.k
-    if initial.r2 > 1.0 + 1e-12:
+    if initial.r2 - 1.0 > BOUNDARY_TOL:
         raise ValidationError("initial state must lie in the closed unit disk")
     if initial.r2 == 0.0 and initial.speed2 == 0.0:
         raise ValidationError(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .dynamics import TrajectorySegment, sample_segment
 from .linearization import PencilSpectrum
-from .model import BookTable, PhaseState
+from .model import BookTable
 from .momentum import BifurcationDiagram, momentum_map
 from .monodromy import MonodromyReport
 
@@ -208,10 +208,23 @@ def write_orbit_svg(
     inner: float | None = None,
     samples_per_segment: int = 48,
 ) -> None:
-    """Unit circle, the inner circle r0, and the orbit polyline per sheet.
+    """Unit circle, the inner circle r0, and one orbit polyline per segment."""
+    polylines = []
+    for seg in segments:
+        states = sample_segment(seg, table.k, samples_per_segment)
+        polylines.append((seg.start.sheet, [(s.x, s.y) for s in states]))
+    write_polylines_svg(path, polylines, inner=inner)
 
-    The y axis is flipped so the figure uses the usual mathematical
-    orientation.
+
+def write_polylines_svg(
+    path: str | Path,
+    polylines: list[tuple[int, list[tuple[float, float]]]],
+    inner: float | None = None,
+) -> None:
+    """Unit circle, the inner circle r0, and (sheet, points) polylines by sheet.
+
+    Polylines are drawn grouped by sheet, one color per sheet. The y axis is
+    flipped so the figure uses the usual mathematical orientation.
     """
     lines = _svg_open(-1.15, -1.15, 2.3, 2.3)
     lines.append(
@@ -222,14 +235,13 @@ def write_orbit_svg(
             f'<circle cx="0" cy="0" r="{inner:.6f}" fill="none" stroke="#888888" '
             'stroke-width="0.005" stroke-dasharray="0.03,0.03"/>'
         )
-    per_sheet: dict[int, list[list[PhaseState]]] = {}
-    for seg in segments:
-        states = sample_segment(seg, table.k, samples_per_segment)
-        per_sheet.setdefault(seg.start.sheet, []).append(states)
+    per_sheet: dict[int, list[list[tuple[float, float]]]] = {}
+    for sheet, points in polylines:
+        per_sheet.setdefault(sheet, []).append(points)
     for sheet in sorted(per_sheet):
         color = _PALETTE[(sheet - 1) % len(_PALETTE)]
-        for states in per_sheet[sheet]:
-            pts = " ".join(f"{s.x:.6f},{-s.y:.6f}" for s in states)
+        for points in per_sheet[sheet]:
+            pts = " ".join(f"{x:.6f},{-y:.6f}" for x, y in points)
             lines.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="0.006"/>'
             )

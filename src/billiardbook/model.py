@@ -24,32 +24,23 @@ class ConvergenceError(RuntimeError):
 class BookTable:
     """An n-sheeted book of unit disks glued along the boundary circle.
 
-    The gluing permutation is restricted to the single cycle (1 2 ... n);
-    general permutations are rejected. The radius field is validated and kept
-    for display, but every computation assumes the unit disk.
+    The gluing permutation is the single cycle (1 2 ... n), applied by
+    next_sheet().
     """
 
     k: float
     sheets: int = 1
-    radius: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.k < 0:
             raise ValidationError("k must be negative (repelling potential)")
         if not isinstance(self.sheets, int) or self.sheets < 1:
             raise ValidationError("n must be >= 1")
-        if not self.radius > 0:
-            raise ValidationError("radius must be positive")
 
     @property
     def omega(self) -> float:
         """Hyperbolic frequency sqrt(-k) of the in-disk flow."""
         return math.sqrt(-self.k)
-
-    @property
-    def permutation(self) -> tuple[int, ...]:
-        """Image of sheets 1..n under the cyclic gluing, 1-indexed."""
-        return tuple(s % self.sheets + 1 for s in range(1, self.sheets + 1))
 
     def next_sheet(self, sheet: int) -> int:
         if not (isinstance(sheet, int) and 1 <= sheet <= self.sheets):
@@ -57,24 +48,6 @@ class BookTable:
                 f"sheet must be in 1..{self.sheets}, got {sheet!r}"
             )
         return sheet % self.sheets + 1
-
-
-def validate_table(
-    k: float,
-    sheets: int = 1,
-    radius: float = 1.0,
-    permutation: tuple[int, ...] | None = None,
-) -> BookTable:
-    """Build a BookTable from raw parameters, rejecting out-of-range input.
-
-    If an explicit permutation is supplied it must be the cycle (1 2 ... n).
-    """
-    table = BookTable(k=k, sheets=sheets, radius=radius)
-    if permutation is not None and tuple(permutation) != table.permutation:
-        raise ValidationError(
-            "only the cyclic gluing permutation (1 2 ... n) is supported"
-        )
-    return table
 
 
 @dataclass(frozen=True)

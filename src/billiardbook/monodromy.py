@@ -72,15 +72,14 @@ class MonodromyReport:
     labels: MoleculeLabels | None
 
 
-def radial_period_quadrature(
-    table: BookTable, h: float, f: float, f0_sign: int = 1
-) -> PeriodSample:
+def radial_period_quadrature(table: BookTable, h: float, f: float) -> PeriodSample:
     """T_r and dphi at a regular value; theta = n * dphi.
 
     The name is kept for API stability: the function evaluates the closed
     forms of the module docstring, not a quadrature. For f = 0 with h > 0
-    (diameter orbits) rho0 = 0 and the center passage contributes the limit
-    value dphi = pi, signed by f0_sign.
+    (diameter orbits) rho0 = 0 and the center passage contributes the
+    f -> 0+ limit dphi = pi; the f -> 0- limit -pi gives a theta that differs
+    by 2*pi*n, which continue_theta's unwrapping absorbs.
     """
     fiber = classify_fiber(table, h, f)
     if fiber.tag is not FiberTag.REGULAR_TORUS:
@@ -93,7 +92,7 @@ def radial_period_quadrature(
     gamma = h / k
     t_r = math.acosh((1.0 - gamma) / alpha) / w
     if f == 0.0 and h > 0.0:
-        dphi = math.pi if f0_sign >= 0 else -math.pi
+        dphi = math.pi
     else:
         rho0 = inner_radius_squared(h, f, k)
         dphi = 2.0 * math.atan2(f * math.tanh(w * t_r / 2.0), w * rho0)
@@ -156,10 +155,8 @@ def loop_around_origin(
     # passes below the origin, so this orientation winds counterclockwise
     for f in np.linspace(-f_max, f_max, points_per_arc + 1):
         waypoints.append(((f * f + c * c * k) / (2.0 * c), float(f)))
-    # closing segment at constant h right of the origin, f decreasing; an
-    # even sample count keeps f = 0 (where dphi jumps) off the grid
-    count = points_per_arc + points_per_arc % 2
-    for f in np.linspace(f_max, -f_max, count + 1)[1:-1]:
+    # closing segment at constant h right of the origin, f decreasing
+    for f in np.linspace(f_max, -f_max, points_per_arc + 1)[1:-1]:
         waypoints.append((h_right, float(f)))
 
     for h, f in waypoints:
@@ -189,19 +186,15 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
     if len(loop) < 3:
         raise ValidationError("loop needs at least 3 waypoints")
 
-    def sample(point: tuple[float, float], sign_hint: int) -> PeriodSample:
-        return radial_period_quadrature(table, point[0], point[1], f0_sign=sign_hint)
-
     samples: list[PeriodSample] = []
     unwrapped: list[float] = []
 
-    first = sample(loop[0], 1)
+    first = radial_period_quadrature(table, *loop[0])
     samples.append(first)
     unwrapped.append(first.theta)
 
     def advance(prev_pt, prev_theta, point, depth):
-        sign_hint = 1 if prev_theta >= 0 else -1
-        s = sample(point, sign_hint)
+        s = radial_period_quadrature(table, *point)
         theta = s.theta + 2.0 * math.pi * round((prev_theta - s.theta) / (2.0 * math.pi))
         if abs(theta - prev_theta) < UNWRAP_STEP:
             samples.append(s)

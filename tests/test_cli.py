@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -177,6 +178,20 @@ class TestPlot:
              "--trajectory", str(tmp_path / "trajectory.csv")]
         ) == 0
         assert "<polyline" in (tmp_path / "orbit.svg").read_text()
+
+    def test_boundary_orbit_stays_on_the_disk(self, tmp_path):
+        # the critical orbit slides along the wall; its rows lie on r = 1
+        assert run(
+            tmp_path, "simulate", "-k", "-1",
+            "--initial", "1", "0", "0", "1", "--time", "5",
+        ) == 0
+        assert main(
+            ["--out-dir", str(tmp_path), "plot",
+             "--trajectory", str(tmp_path / "trajectory.csv")]
+        ) == 0
+        points = re.findall(r'<polyline points="([^"]*)"', (tmp_path / "orbit.svg").read_text())
+        radii = [math.hypot(*map(float, p.split(","))) for line in points for p in line.split()]
+        assert radii and max(radii) <= 1.0 + 1e-5
 
 
 def test_cli_import_does_not_load_scipy():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from billiardbook import (
     BookTable,
@@ -18,6 +20,7 @@ from billiardbook import (
 )
 
 K = -1.0
+KS = (-0.25, -1.0, -4.0)
 TABLE = BookTable(k=K, sheets=1)
 
 
@@ -26,6 +29,10 @@ def random_interior_state(rng, v_max=2.0):
     ang = rng.uniform(0.0, 2.0 * math.pi)
     vx, vy = rng.uniform(-v_max, v_max, size=2)
     return PhaseState(1, r * math.cos(ang), r * math.sin(ang), vx, vy)
+
+
+def worst_wall_residual(segments):
+    return max(abs(seg.end.r2 - 1.0) for seg in segments if seg.reflected)
 
 
 class TestFlowFree:
@@ -221,3 +228,61 @@ class TestSimulate:
                 b = momentum_map(seg.end, K)
                 assert abs(a.h - b.h) < 1e-12
                 assert abs(a.f - b.f) < 1e-12
+
+
+class TestSegmentMinRadius:
+    def test_matches_dense_sampling(self):
+        # oracle: the least r^2 over 2048 equal time steps of the segment;
+        # the states cover both signs of a.b = (r^2 - |v/w|^2)/4
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            start = random_interior_state(rng)
+            seg = simulate(TABLE, start, max_reflections=1)[0]
+            sampled = min(s.r2 for s in sample_segment(seg, K, 2048))
+            closed = segment_min_radius(seg, K) ** 2
+            assert sampled - 1e-6 <= closed <= sampled + 1e-12
+
+
+class TestNearDegenerateStarts:
+    """Wall hits stay on the wall near the stable manifold and near grazing."""
+
+    def test_near_stable_manifold_reflects(self):
+        table = BookTable(k=-1.0, sheets=3)
+        segments = simulate(table, PhaseState(1, 0.5, 0.0, -0.5 + 1e-6, 0.0), max_reflections=3)
+        assert [seg.reflected for seg in segments] == [True] * 3
+        assert worst_wall_residual(segments) <= 1e-12
+
+    @given(
+        k=st.sampled_from(KS),
+        sheets=st.sampled_from((1, 3)),
+        log_vn=st.floats(-11.0, -6.0),
+    )
+    @example(k=-1.0, sheets=1, log_vn=-9.0)
+    def test_near_grazing_family(self, k, sheets, log_vn):
+        start = PhaseState(1, 1.0, 0.0, -(10.0**log_vn), 1.0)
+        segments = simulate(BookTable(k=k, sheets=sheets), start, max_reflections=10)
+        assert [seg.reflected for seg in segments] == [True] * 10
+        assert worst_wall_residual(segments) <= 1e-12
+
+    @given(
+        k=st.sampled_from(KS),
+        log_eps=st.floats(-12.0, -3.0),
+        r=st.floats(0.05, 0.95),
+        ang=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_near_stable_manifold_family(self, k, log_eps, r, ang):
+        # v = -w x (1 - eps): the inbound ray just off the stable manifold
+        x, y = r * math.cos(ang), r * math.sin(ang)
+        slope = -math.sqrt(-k) * (1.0 - 10.0**log_eps)
+        start = PhaseState(1, x, y, slope * x, slope * y)
+        segments = simulate(BookTable(k=k, sheets=3), start, max_reflections=3)
+        assert [seg.reflected for seg in segments] == [True] * 3
+        assert worst_wall_residual(segments) <= 1e-12
+
+    def test_long_orbit_hit_is_a_valid_start(self):
+        table = BookTable(k=-4.0, sheets=3)
+        start = PhaseState(3, -3.2e-4, 0.0504, -2.96e-3, 0.0377)
+        segments = simulate(table, start, max_reflections=2000)
+        assert worst_wall_residual(segments) <= 1e-12
+        restart = simulate(table, reflect(table, segments[-1].end), max_reflections=1)
+        assert restart[0].reflected

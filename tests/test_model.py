@@ -2,37 +2,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from billiardbook import BookTable, ValidationError, validate_table
+from billiardbook import BookTable, ValidationError
 
 
 def test_in_range_parameters_accepted():
-    table = validate_table(k=-1.0, sheets=3, radius=1.0)
+    table = BookTable(k=-1.0, sheets=3)
     assert table.k == -1.0
     assert table.sheets == 3
-    assert table.permutation == (2, 3, 1)
+    assert [table.next_sheet(s) for s in (1, 2, 3)] == [2, 3, 1]
 
 
 def test_nonnegative_k_rejected():
     with pytest.raises(ValidationError, match="k must be negative"):
-        validate_table(k=0.0, sheets=1)
+        BookTable(k=0.0, sheets=1)
     with pytest.raises(ValidationError):
-        validate_table(k=1.0, sheets=1)
+        BookTable(k=1.0, sheets=1)
 
 
 def test_empty_book_rejected():
     with pytest.raises(ValidationError, match="n must be >= 1"):
-        validate_table(k=-1.0, sheets=0)
-
-
-def test_nonpositive_radius_rejected():
-    with pytest.raises(ValidationError):
-        validate_table(k=-1.0, radius=0.0)
-
-
-def test_non_cyclic_permutation_rejected():
-    validate_table(k=-1.0, sheets=3, permutation=(2, 3, 1))
-    with pytest.raises(ValidationError):
-        validate_table(k=-1.0, sheets=3, permutation=(3, 1, 2))
+        BookTable(k=-1.0, sheets=0)
 
 
 def test_next_sheet_examples():

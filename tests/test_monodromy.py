@@ -65,7 +65,6 @@ class TestRadialPeriodQuadrature:
         sample = radial_period_quadrature(table, 0.5, 0.0)
         assert sample.T_r == pytest.approx(2.0 * math.asinh(1.0), abs=1e-10)
         assert sample.dphi == math.pi
-        assert radial_period_quadrature(table, 0.5, 0.0, f0_sign=-1).dphi == -math.pi
 
     def test_matches_direct_simulation(self):
         table = BookTable(k=K, sheets=1)
@@ -201,10 +200,16 @@ class TestContinueTheta:
         assert report.monodromy_matrix == ((1, 0), (1, 1))
 
     def test_two_sheets(self):
+        # an even count samples f = 0 at h > 0, where dphi = pi is taken
+        # without a sign convention; an odd count samples no f = 0 at all
         table = BookTable(k=K, sheets=2)
-        report = continue_theta(table, loop_around_origin(table, c=0.5))
-        assert report.m == 2
-        assert report.monodromy_matrix == ((1, 0), (2, 1))
+        for points_per_arc in (64, 65):
+            loop = loop_around_origin(table, c=0.5, points_per_arc=points_per_arc)
+            diameter = [f for h, f in loop if f == 0.0 and h > 0.0]
+            assert len(diameter) == 1 - points_per_arc % 2
+            report = continue_theta(table, loop)
+            assert report.m == 2
+            assert report.monodromy_matrix == ((1, 0), (2, 1))
 
     def test_non_enclosing_loop_gives_identity(self):
         table = BookTable(k=K, sheets=3)
