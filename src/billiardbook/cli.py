@@ -148,17 +148,23 @@ def _cmd_simulate(args, cfg: _Config, out: Path) -> int:
         vx, vy = rng.uniform(-1.0, 1.0, size=2)
         initial = [r * math.cos(ang), r * math.sin(ang), vx, vy]
     state = PhaseState(sheet, *map(float, initial))
-    segments = simulate(
+    trajectory = simulate(
         table, state, max_reflections=stop_reflections, max_time=stop_time
     )
     samples = cfg.get("samples-per-segment", 16)
-    io.write_trajectory_csv(out / "trajectory.csv", table, segments, samples)
+    io.write_trajectory_csv(out / "trajectory.csv", table, trajectory, samples)
     print(out / "trajectory.csv")
     if cfg.get("svg", False):
         mv = momentum_map(state, table.k)
         inner = inner_radius(mv.h, mv.f, table.k) if in_image(mv.h, mv.f, table.k) else None
-        io.write_orbit_svg(out / "orbit.svg", table, segments, inner=inner)
+        io.write_orbit_svg(out / "orbit.svg", table, trajectory, inner=inner)
         print(out / "orbit.svg")
+    if trajectory.stop_reason in ("grazing", "stable-manifold"):
+        print(
+            f"stopped early: {trajectory.stop_reason}; "
+            f"reflections made: {trajectory.reflections}",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -12,12 +12,22 @@ center sits at ``u = |b|/|a|``. The stable manifold of the equilibrium is
 exactly ``a = 0``. No ODE integrator and no iteration is involved, which makes
 conservation of ``H = -2 w^2 a.b`` and ``F = -2 w a x b`` a test oracle
 instead of an error source.
+
+The flow and the wall are invariant under rotation, and (H, F) fixes a
+wall-to-wall arc up to rotation, so after the first wall hit every arc is the
+previous one turned by the same angle ``dphi`` and lasting the same ``T_r``.
+``simulate`` solves two arcs and emits hit j as the first hit rotated by
+``j * dphi`` in one numpy pass: no hit is computed from the one before, so
+rounding error does not grow with the number of reflections.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import BookTable, PhaseState, ValidationError
 
@@ -26,9 +36,12 @@ from .model import BookTable, PhaseState, ValidationError
 BOUNDARY_TOL = 1e-9
 #: |v . n| below this at a wall hit is treated as a tangential (grazing) hit
 GRAZING_TOL = 1e-12
+#: rows taken from the columns per numpy pass by _sample_trajectory() and by
+#: iteration over a Trajectory, which bounds the memory a long run needs there
+_CHUNK = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectorySegment:
     """One smooth arc of the flow, from a start state to a wall hit (or stop).
 
@@ -42,6 +55,139 @@ class TrajectorySegment:
     end: PhaseState
     reflected: bool
     boundary_orbit: bool = False
+
+
+class Trajectory(Sequence):
+    """The segments of one run, held as columns.
+
+    Row i of ``start`` and ``end`` is (x, y, vx, vy) at the two ends of
+    segment i, ``sheet[i]`` its sheet and ``duration[i]`` its length in time.
+    The first ``reflections`` segments end at a wall hit followed by a
+    reflection; if ``boundary_orbit`` is set, the last segment slides along
+    the wall. ``stop_reason`` says why the run ended: ``"reflections"``
+    (max_reflections reached), ``"time"`` (max_time reached), ``"grazing"``
+    (a tangential wall hit) or ``"stable-manifold"`` (a reflection sent the
+    ball onto the stable manifold of the equilibrium, which never reaches the
+    wall again).
+
+    As a sequence it yields TrajectorySegment values, built from the columns
+    when they are asked for, and it hashes as the tuple of those values. A
+    run that ends within its first full wall-to-wall arc is made from the
+    segments simulate() built (``segments``, with ``columns`` None) and makes
+    its columns only when they are first read, so simulate() allocates no
+    array for it.
+    """
+
+    __slots__ = ("_columns", "_segments", "reflections", "stop_reason", "boundary_orbit")
+
+    def __init__(
+        self,
+        columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None,
+        reflections: int,
+        stop_reason: str,
+        boundary_orbit: bool = False,
+        segments: tuple[TrajectorySegment, ...] | None = None,
+    ) -> None:
+        self._columns = columns  # (start, end, sheet, duration)
+        self._segments = segments
+        self.reflections = reflections
+        self.stop_reason = stop_reason
+        self.boundary_orbit = boundary_orbit
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        if self._columns is None:
+            segs = self._segments
+            self._columns = (
+                np.array([(s.start.x, s.start.y, s.start.vx, s.start.vy) for s in segs])
+                .reshape(-1, 4),
+                np.array([(s.end.x, s.end.y, s.end.vx, s.end.vy) for s in segs]).reshape(-1, 4),
+                np.array([s.start.sheet for s in segs], dtype=int),
+                np.array([s.duration for s in segs], dtype=float),
+            )
+        return self._columns
+
+    @property
+    def start(self) -> np.ndarray:
+        return self._arrays()[0]
+
+    @property
+    def end(self) -> np.ndarray:
+        return self._arrays()[1]
+
+    @property
+    def sheet(self) -> np.ndarray:
+        return self._arrays()[2]
+
+    @property
+    def duration(self) -> np.ndarray:
+        return self._arrays()[3]
+
+    def __len__(self) -> int:
+        if self._segments is not None:
+            return len(self._segments)
+        return len(self._columns[3])
+
+    def __getitem__(self, index):
+        if self._segments is not None:
+            found = self._segments[index]
+            return list(found) if isinstance(index, slice) else found
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return [self._row(i) for i in rows]
+        return self._row(rows)
+
+    def __iter__(self) -> Iterator[TrajectorySegment]:
+        if self._segments is not None:
+            yield from self._segments
+            return
+        start, end, sheet, duration = self._columns
+        # A start sits where the previous segment ended and most arcs last
+        # T_r: such a value is the previous row's float object again, bit for
+        # bit, which makes a run held as segments nearly a fifth smaller.
+        same_xy, same_t = np.zeros(len(duration), bool), np.zeros(len(duration), bool)
+        same_xy[1:] = (start[1:, :2].view(np.uint64) == end[:-1, :2].view(np.uint64)).all(1)
+        same_t[1:] = duration[1:].view(np.uint64) == duration[:-1].view(np.uint64)
+        x = y = t = None
+        for lo in range(0, len(duration), _CHUNK):
+            hi = lo + _CHUNK
+            rows = zip(sheet[lo:hi].tolist(), start[lo:hi].tolist(), end[lo:hi].tolist(),
+                       duration[lo:hi].tolist(), same_xy[lo:hi].tolist(), same_t[lo:hi].tolist())
+            for i, (n, s, e, d, shares_xy, shares_t) in enumerate(rows, lo):
+                if shares_xy:
+                    s[0], s[1] = x, y
+                if shares_t:
+                    d = t
+                yield self._segment(i, n, s, e, d)
+                x, y, t = e[0], e[1], d
+
+    def _row(self, i: int) -> TrajectorySegment:
+        start, end, sheet, duration = self._columns
+        return self._segment(
+            i, int(sheet[i]), start[i].tolist(), end[i].tolist(), float(duration[i])
+        )
+
+    def _segment(self, i, sheet, start, end, duration) -> TrajectorySegment:
+        return TrajectorySegment(
+            PhaseState(sheet, *start),
+            duration,
+            PhaseState(sheet, *end),
+            reflected=i < self.reflections,
+            boundary_orbit=self.boundary_orbit and i == len(self) - 1,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (
+            (self.reflections, self.stop_reason, self.boundary_orbit)
+            == (other.reflections, other.stop_reason, other.boundary_orbit)
+            and all(np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays()))
+        )
+
+    def __hash__(self) -> int:
+        # the hash of the tuple of segments, as the list simulate() used to
+        # return gets once it is made a tuple
+        return hash(tuple(self))
 
 
 def _halves(state: PhaseState, w: float) -> tuple[float, float, float, float]:
@@ -170,17 +316,141 @@ def sample_segment(segment: TrajectorySegment, k: float, count: int) -> list[Pha
     ]
 
 
+def _rotations(row, angles: np.ndarray) -> np.ndarray:
+    """Rows (x, y, vx, vy) of one state rotated by each angle, as _rotate()."""
+    x, y, vx, vy = row
+    c, s = np.cos(angles), np.sin(angles)
+    return np.stack((c * x - s * y, s * x + c * y, c * vx - s * vy, s * vx + c * vy), axis=-1)
+
+
+def _sample_trajectory(
+    trajectory: Trajectory, k: float, count: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """sample_segment() for every segment of a trajectory, a chunk at a time.
+
+    Yields (first segment of the chunk, tau, states): ``tau[i, j]`` is the
+    time since segment i's start of its j-th of count+1 equally spaced
+    samples and ``states[i, j]`` the state (x, y, vx, vy) there. The formulas
+    and their order of operations are those of flow_free() and of the
+    boundary-orbit rotation, evaluated for all rows at once.
+    """
+    w = math.sqrt(-k)
+    steps = np.arange(count + 1)
+    for lo in range(0, len(trajectory), _CHUNK):
+        hi = min(lo + _CHUNK, len(trajectory))
+        start = trajectory.start[lo:hi]
+        duration = trajectory.duration[lo:hi, None]
+        tau = duration * steps / count
+        x, y, vx, vy = (column[:, None] for column in start.T)
+        px, py = vx / w, vy / w
+        e = np.exp(w * tau)
+        ax, ay = 0.5 * (x + px) * e, 0.5 * (y + py) * e
+        bx, by = 0.5 * (x - px) / e, 0.5 * (y - py) / e
+        states = np.stack((ax + bx, ay + by, w * (ax - bx), w * (ay - by)), axis=-1)
+        if trajectory.boundary_orbit and hi == len(trajectory):
+            # on r = 1 the angular speed equals f = x*vy - y*vx
+            x0, y0, vx0, vy0 = start[-1].tolist()
+            f = x0 * vy0 - y0 * vx0
+            states[-1] = _rotations(start[-1], f * duration[-1, 0] * steps / count)
+        yield lo, tau, states
+
+
+def _cut(state: PhaseState, duration: float, k: float) -> TrajectorySegment:
+    """The unreflected segment that max_time cuts short."""
+    return TrajectorySegment(state, duration, flow_free(state, duration, k), reflected=False)
+
+
+def _is_grazing(hit: PhaseState) -> bool:
+    return abs(hit.x * hit.vx + hit.y * hit.vy) < GRAZING_TOL
+
+
+def _grazed(
+    done: tuple[TrajectorySegment, ...],
+    state: PhaseState,
+    t_hit: float,
+    hit: PhaseState,
+    time_left: float | None,
+) -> Trajectory:
+    """A tangential hit ends the reflections; the rest of max_time slides along the wall."""
+    segments = (*done, TrajectorySegment(state, t_hit, hit, reflected=False))
+    sliding = time_left is not None and time_left > t_hit
+    if sliding:
+        segments += (_boundary_orbit_segment(hit, time_left - t_hit),)
+    return Trajectory(None, len(done), "grazing", sliding, segments)
+
+
+def _hit_count(
+    t0: float, t_r: float, max_reflections: int | None, max_time: float | None
+) -> tuple[int, float | None]:
+    """Wall hits before the stop, and the max_time tail (None if reflections stop first).
+
+    Hit j comes at t0 + j*t_r; it counts when that is before max_time.
+    """
+    if max_time is None:
+        return max_reflections, None
+    hits = max(math.ceil((max_time - t0) / t_r), 1)
+    while t0 + (hits - 1) * t_r >= max_time:
+        hits -= 1
+    while t0 + hits * t_r < max_time:
+        hits += 1
+    if max_reflections is not None and max_reflections <= hits:
+        return max_reflections, None
+    return hits, max_time - (t0 + (hits - 1) * t_r)
+
+
+def _bounce_map(
+    table: BookTable,
+    initial: PhaseState,
+    hit: PhaseState,
+    t0: float,
+    t_r: float,
+    dphi: float,
+    hits: int,
+    tail: float | None,
+) -> Trajectory:
+    """Columns of ``hits`` wall hits, hit j being ``hit`` rotated by j*dphi,
+    plus a max_time tail of duration ``tail`` (None for no tail)."""
+    rows = hits + (tail is not None)
+    end = np.empty((rows, 4))
+    end[:hits] = _rotations((hit.x, hit.y, hit.vx, hit.vy), np.arange(hits) * dphi)
+    # every start after the first is the reflection of the previous hit, with
+    # reflect()'s formula, so it sits exactly where that hit is
+    start = np.empty((rows, 4))
+    start[0] = (initial.x, initial.y, initial.vx, initial.vy)
+    x, y, vx, vy = end[: rows - 1].T
+    r = np.sqrt(x * x + y * y)
+    nx, ny = x / r, y / r
+    vn = vx * nx + vy * ny
+    start[1:, 0], start[1:, 1] = x, y
+    start[1:, 2], start[1:, 3] = vx - 2.0 * vn * nx, vy - 2.0 * vn * ny
+    sheet = (np.arange(rows) + (initial.sheet - 1)) % table.sheets + 1
+    duration = np.full(rows, t_r)
+    duration[0] = t0
+    if tail is not None:
+        last = PhaseState(int(sheet[-1]), *start[-1].tolist())
+        stop = flow_free(last, tail, table.k)
+        end[-1] = (stop.x, stop.y, stop.vx, stop.vy)
+        duration[-1] = tail
+    stop_reason = "reflections" if tail is None else "time"
+    return Trajectory((start, end, sheet, duration), hits, stop_reason)
+
+
 def simulate(
     table: BookTable,
     initial: PhaseState,
     max_reflections: int | None = None,
     max_time: float | None = None,
-) -> list[TrajectorySegment]:
-    """Propagate until a stop condition, alternating free flow and reflection.
+) -> Trajectory:
+    """Propagate until a stop condition by the closed-form bounce map.
 
-    Each segment ends at the wall (reflected=True) except possibly the last,
-    which is cut by max_time. The end of a reflected segment, passed through
-    reflect(), is the start of the next segment.
+    time_to_boundary() and flow_free() solve the head arc, from the initial
+    state to the first wall hit, and the first full arc, from that hit
+    through reflect() to the next one. The full arc gives T_r (its duration)
+    and dphi (the signed angle between its ends). Every later arc starts at
+    the reflection of the previous hit, lasts T_r and ends at the first hit
+    rotated by a multiple of dphi, one sheet further on. Each segment ends at
+    the wall (reflected) except possibly the last, which max_time cuts or
+    which ends at a grazing hit; ``stop_reason`` says which stop came first.
     """
     if max_reflections is None and max_time is None:
         raise ValidationError("a stop condition (max_reflections or max_time) is required")
@@ -189,50 +459,51 @@ def simulate(
     if max_time is not None and max_time <= 0:
         raise ValidationError("max_time must be positive")
 
-    k = table.k
-    if initial.r2 - 1.0 > BOUNDARY_TOL:
+    k, r2 = table.k, initial.r2
+    table.next_sheet(initial.sheet)  # raises ValidationError for a sheet off the book
+    if r2 - 1.0 > BOUNDARY_TOL:
         raise ValidationError("initial state must lie in the closed unit disk")
-    if initial.r2 == 0.0 and initial.speed2 == 0.0:
+    if r2 == 0.0 and initial.speed2 == 0.0:
         raise ValidationError(
             "the rest state at the origin is the focus-focus equilibrium; "
             "it is reported, not propagated"
         )
 
-    segments: list[TrajectorySegment] = []
-    state = initial
+    # Critical orbit: the normal speed the orbit has at the wall vanishes.
+    # (v.n)^2 there is 2h - k - f^2 = (x.v)^2 + (1 - r^2)(|v|^2 - k), a sum
+    # of non-negative terms inside the disk (time_to_boundary's discriminant
+    # times w^2). The region of motion is then the wall circle, propagated as
+    # pure rotation.
+    xv = initial.x * initial.vx + initial.y * initial.vy
+    if xv * xv + max(1.0 - r2, 0.0) * (initial.speed2 - k) < GRAZING_TOL**2:
+        if max_time is None:
+            raise ValidationError("the boundary critical orbit never reflects; use max_time")
+        return Trajectory(None, 0, "time", True, (_boundary_orbit_segment(initial, max_time),))
+    if max_reflections == 0:
+        return Trajectory(None, 0, "reflections", segments=())
 
-    # Critical orbit: on the wall with tangential velocity. One-dimensional
-    # region of motion, propagated as pure rotation along the boundary.
-    if abs(initial.r2 - 1.0) < BOUNDARY_TOL:
-        r = initial.r
-        vn = (initial.x * initial.vx + initial.y * initial.vy) / r
-        if abs(vn) < GRAZING_TOL:
-            if max_time is None:
-                raise ValidationError(
-                    "the boundary critical orbit never reflects; use max_time"
-                )
-            return [_boundary_orbit_segment(initial, max_time)]
+    t0 = time_to_boundary(initial, k)
+    if max_time is not None and t0 >= max_time:
+        return Trajectory(None, 0, "time", segments=(_cut(initial, max_time, k),))
+    hit = flow_free(initial, t0, k)
+    if _is_grazing(hit):
+        return _grazed((), initial, t0, hit, max_time)
+    head = TrajectorySegment(initial, t0, hit, reflected=True)
+    if max_reflections == 1:
+        return Trajectory(None, 1, "reflections", segments=(head,))
 
-    t_total = 0.0
-    count = 0
-    while max_reflections is None or count < max_reflections:
-        t_hit = time_to_boundary(state, k)
-        if max_time is not None and t_total + t_hit >= max_time:
-            dt = max_time - t_total
-            end = flow_free(state, dt, k)
-            segments.append(TrajectorySegment(state, dt, end, reflected=False))
-            return segments
-        end = flow_free(state, t_hit, k)
-        vn = end.x * end.vx + end.y * end.vy
-        if abs(vn) < GRAZING_TOL:
-            # grazing hit: clamp to the tangential critical orbit and flag it
-            segments.append(TrajectorySegment(state, t_hit, end, reflected=False))
-            t_total += t_hit
-            if max_time is not None and max_time > t_total:
-                segments.append(_boundary_orbit_segment(end, max_time - t_total))
-            return segments
-        segments.append(TrajectorySegment(state, t_hit, end, reflected=True))
-        state = reflect(table, end)
-        t_total += t_hit
-        count += 1
-    return segments
+    start = reflect(table, hit)
+    try:
+        t_r = time_to_boundary(start, k)
+    except ValidationError:
+        # start lies on the wall, so the stable manifold is the only refusal left
+        return Trajectory(None, 1, "stable-manifold", segments=(head,))
+    if max_time is not None and t0 + t_r >= max_time:
+        return Trajectory(None, 1, "time", segments=(head, _cut(start, max_time - t0, k)))
+    end = flow_free(start, t_r, k)
+    if _is_grazing(end):
+        return _grazed((head,), start, t_r, end, None if max_time is None else max_time - t0)
+    dphi = math.atan2(hit.x * end.y - hit.y * end.x, hit.x * end.x + hit.y * end.y)
+
+    hits, tail = _hit_count(t0, t_r, max_reflections, max_time)
+    return _bounce_map(table, initial, hit, t0, t_r, dphi, hits, tail)

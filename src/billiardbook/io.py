@@ -14,10 +14,12 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .dynamics import TrajectorySegment, sample_segment
+import numpy as np
+
+from .dynamics import Trajectory, _sample_trajectory
 from .linearization import PencilSpectrum
 from .model import BookTable
-from .momentum import BifurcationDiagram, momentum_map
+from .momentum import BifurcationDiagram
 from .monodromy import MonodromyReport
 
 
@@ -34,25 +36,33 @@ TRAJECTORY_COLUMNS = ["segment", "sheet", "t", "x", "y", "vx", "vy", "h", "f"]
 def write_trajectory_csv(
     path: str | Path,
     table: BookTable,
-    segments: list[TrajectorySegment],
+    trajectory: Trajectory,
     samples_per_segment: int = 16,
 ) -> None:
-    """Rows sample each segment at equal time steps, endpoints included."""
+    """Rows sample each segment at equal time steps, endpoints included.
+
+    The rows are those csv.writer would write: ``\\r\\n`` line ends and fmt()
+    numbers. h and f use momentum_map()'s formulas on the whole chunk.
+    """
+    k, count = table.k, samples_per_segment
+    line = "%d,%d" + ",%.17g" * 7 + "\r\n"
+    # each segment's start time: the durations before it, summed in order
+    t_start = np.cumsum(np.concatenate(([0.0], trajectory.duration[:-1])))
+    sheet = trajectory.sheet
     with open(path, "w", newline="") as fh:
         fh.write(f"# billiardbook trajectory k={fmt(table.k)} n={table.sheets}\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        t_abs = 0.0
-        for i, seg in enumerate(segments):
-            states = sample_segment(seg, table.k, samples_per_segment)
-            for j, state in enumerate(states):
-                t = t_abs + seg.duration * j / samples_per_segment
-                mv = momentum_map(state, table.k)
-                writer.writerow(
-                    [i, state.sheet]
-                    + [fmt(v) for v in (t, state.x, state.y, state.vx, state.vy, mv.h, mv.f)]
-                )
-            t_abs += seg.duration
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+        for lo, tau, states in _sample_trajectory(trajectory, k, count):
+            hi = lo + len(tau)
+            x, y, vx, vy = np.moveaxis(states, -1, 0)
+            rows = np.empty(tau.shape + (9,))
+            rows[..., 0] = np.arange(lo, hi)[:, None]
+            rows[..., 1] = sheet[lo:hi, None]
+            rows[..., 2] = t_start[lo:hi, None] + tau
+            rows[..., 3:7] = states
+            rows[..., 7] = 0.5 * (vx * vx + vy * vy) + 0.5 * k * (x * x + y * y)
+            rows[..., 8] = x * vy - y * vx
+            fh.write((line * tau.size) % tuple(rows.ravel().tolist()))
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[dict, list[dict]]:
@@ -204,21 +214,21 @@ def _svg_open(x0: float, y0: float, width: float, height: float) -> list[str]:
 def write_orbit_svg(
     path: str | Path,
     table: BookTable,
-    segments: list[TrajectorySegment],
+    trajectory: Trajectory,
     inner: float | None = None,
     samples_per_segment: int = 48,
 ) -> None:
     """Unit circle, the inner circle r0, and one orbit polyline per segment."""
+    sheets = trajectory.sheet.tolist()
     polylines = []
-    for seg in segments:
-        states = sample_segment(seg, table.k, samples_per_segment)
-        polylines.append((seg.start.sheet, [(s.x, s.y) for s in states]))
+    for lo, _, states in _sample_trajectory(trajectory, table.k, samples_per_segment):
+        polylines += zip(sheets[lo : lo + len(states)], states[..., :2])
     write_polylines_svg(path, polylines, inner=inner)
 
 
 def write_polylines_svg(
     path: str | Path,
-    polylines: list[tuple[int, list[tuple[float, float]]]],
+    polylines: list[tuple[int, np.ndarray | list[tuple[float, float]]]],
     inner: float | None = None,
 ) -> None:
     """Unit circle, the inner circle r0, and (sheet, points) polylines by sheet.
@@ -235,13 +245,15 @@ def write_polylines_svg(
             f'<circle cx="0" cy="0" r="{inner:.6f}" fill="none" stroke="#888888" '
             'stroke-width="0.005" stroke-dasharray="0.03,0.03"/>'
         )
-    per_sheet: dict[int, list[list[tuple[float, float]]]] = {}
+    per_sheet: dict[int, list] = {}
     for sheet, points in polylines:
         per_sheet.setdefault(sheet, []).append(points)
     for sheet in sorted(per_sheet):
         color = _PALETTE[(sheet - 1) % len(_PALETTE)]
         for points in per_sheet[sheet]:
-            pts = " ".join(f"{x:.6f},{-y:.6f}" for x, y in points)
+            xy = np.asarray(points, dtype=float)
+            flipped = np.column_stack((xy[:, 0], -xy[:, 1])).ravel().tolist()
+            pts = " ".join(["%.6f,%.6f"] * len(xy)) % tuple(flipped)
             lines.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="0.006"/>'
             )

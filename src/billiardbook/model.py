@@ -37,11 +37,6 @@ class BookTable:
         if not isinstance(self.sheets, int) or self.sheets < 1:
             raise ValidationError("n must be >= 1")
 
-    @property
-    def omega(self) -> float:
-        """Hyperbolic frequency sqrt(-k) of the in-disk flow."""
-        return math.sqrt(-self.k)
-
     def next_sheet(self, sheet: int) -> int:
         if not (isinstance(sheet, int) and 1 <= sheet <= self.sheets):
             raise ValidationError(
@@ -50,7 +45,7 @@ class BookTable:
         return sheet % self.sheets + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseState:
     """A point of phase space: sheet index plus position and velocity."""
 

@@ -33,6 +33,28 @@ class TestSimulate:
         svg = (tmp_path / "orbit.svg").read_text()
         assert svg.startswith("<?xml") and "<polyline" in svg
 
+    def test_early_stop_is_reported(self, tmp_path, capsys):
+        # the first hit reflects the orbit onto the stable manifold of the
+        # equilibrium, so one segment is written for the three reflections asked
+        code = run(
+            tmp_path,
+            "simulate", "-k", "-4", "-n", "3",
+            "--initial", "0.034623887808666015", "-0.09591432775180372",
+            "-0.06924777561733216", "0.19182865550360778",
+            "--reflections", "3",
+        )
+        assert code == 0
+        assert capsys.readouterr().err == "stopped early: stable-manifold; reflections made: 1\n"
+        _, rows = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+        assert {row["segment"] for row in rows} == {0}
+
+    def test_full_run_reports_nothing(self, tmp_path, capsys):
+        code = run(
+            tmp_path, "simulate", "-k", "-1", "--initial", "0.5", "0", "0", "1",
+            "--reflections", "3",
+        )
+        assert code == 0 and capsys.readouterr().err == ""
+
     def test_missing_stop_condition_exits_2(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "-k", "-1", "--initial", "0.5", "0", "0", "1")
         assert code == 2

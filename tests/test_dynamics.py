@@ -1,4 +1,5 @@
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from billiardbook import (
     BookTable,
     PhaseState,
+    Trajectory,
+    TrajectorySegment,
     ValidationError,
     flow_free,
     inner_radius,
@@ -33,6 +36,31 @@ def random_interior_state(rng, v_max=2.0):
 
 def worst_wall_residual(segments):
     return max(abs(seg.end.r2 - 1.0) for seg in segments if seg.reflected)
+
+
+def event_driven(table, state, max_reflections=None, max_time=None):
+    """Reference stepper: time_to_boundary, flow_free and reflect, one hit at a time.
+
+    Each arc starts from the reflection of the previous hit, so its rounding
+    error builds on all earlier ones; it is the independent oracle of the
+    closed-form bounce map in simulate().
+    """
+    segments, t = [], 0.0
+    while max_reflections is None or len(segments) < max_reflections:
+        dt = time_to_boundary(state, table.k)
+        if max_time is not None and t + dt >= max_time:
+            end = flow_free(state, max_time - t, table.k)
+            segments.append(TrajectorySegment(state, max_time - t, end, reflected=False))
+            break
+        end = flow_free(state, dt, table.k)
+        segments.append(TrajectorySegment(state, dt, end, reflected=True))
+        state = reflect(table, end)
+        t += dt
+    return segments
+
+
+def state_row(state):
+    return np.array([state.x, state.y, state.vx, state.vy])
 
 
 class TestFlowFree:
@@ -215,6 +243,12 @@ class TestSimulate:
         # angular speed on the wall equals f
         assert segments[0].end.phi == pytest.approx(0.5 * 4.0, abs=1e-12)
 
+    def test_sheet_off_the_book_rejected(self):
+        table = BookTable(k=K, sheets=3)
+        for sheet in (0, 4):
+            with pytest.raises(ValidationError, match="sheet"):
+                simulate(table, PhaseState(sheet, 0.5, 0.0, 0.0, 1.0), max_reflections=1)
+
     def test_rest_state_at_origin_reported_not_propagated(self):
         with pytest.raises(ValidationError, match="focus-focus"):
             simulate(TABLE, PhaseState(1, 0.0, 0.0, 0.0, 0.0), max_reflections=1)
@@ -286,3 +320,161 @@ class TestNearDegenerateStarts:
         assert worst_wall_residual(segments) <= 1e-12
         restart = simulate(table, reflect(table, segments[-1].end), max_reflections=1)
         assert restart[0].reflected
+
+
+class TestBounceMap:
+    """simulate() against the event-driven reference stepper."""
+
+    def test_matches_event_driven_stepper(self):
+        rng = np.random.default_rng(6)
+        worst_state = worst_duration = 0.0
+        for k in KS:
+            for sheets in (1, 2, 3, 5):
+                table = BookTable(k=k, sheets=sheets)
+                s = random_interior_state(rng)
+                start = PhaseState(int(rng.integers(1, sheets + 1)), s.x, s.y, s.vx, s.vy)
+                t_r = simulate(table, start, max_reflections=2)[1].duration
+                for stop, reason in (
+                    ({"max_reflections": 1000}, "reflections"),
+                    ({"max_time": rng.uniform(200.0, 400.0) * t_r}, "time"),
+                ):
+                    traj = simulate(table, start, **stop)
+                    ref = event_driven(table, start, **stop)
+                    assert traj.stop_reason == reason
+                    assert [seg.reflected for seg in traj] == [seg.reflected for seg in ref]
+                    assert list(traj.sheet) == [seg.start.sheet for seg in ref]
+                    for column, side in ((traj.start, "start"), (traj.end, "end")):
+                        expected = np.array([state_row(getattr(seg, side)) for seg in ref])
+                        worst_state = max(worst_state, np.abs(column - expected).max())
+                    # a max_time cut lasts max_time minus the last hit's time,
+                    # which the stepper sums hit by hit: it is held like the states
+                    arcs = traj.reflections
+                    durations = np.array([seg.duration for seg in ref])
+                    worst_duration = max(
+                        worst_duration, np.abs(traj.duration[:arcs] - durations[:arcs]).max()
+                    )
+                    worst_state = max(
+                        worst_state, np.abs(traj.duration[arcs:] - durations[arcs:]).max(initial=0.0)
+                    )
+        assert worst_state <= 1e-9
+        assert worst_duration <= 1e-12
+
+    def test_no_drift_over_a_million_reflections(self):
+        k = -4.0
+        table = BookTable(k=k, sheets=3)
+        start = PhaseState(2, 0.2, -0.4, 0.9, 0.3)
+        traj = simulate(table, start, max_reflections=1_000_000)
+        assert len(traj) == traj.reflections == 1_000_000
+        ref = momentum_map(start, k)
+        for column in (traj.start, traj.end):
+            x, y, vx, vy = column.T
+            h = 0.5 * (vx * vx + vy * vy) + 0.5 * k * (x * x + y * y)
+            f = x * vy - y * vx
+            assert np.abs(h - ref.h).max() <= 1e-12
+            assert np.abs(f - ref.f).max() <= 1e-12
+
+    def test_each_start_is_the_reflection_of_the_previous_hit(self):
+        table = BookTable(k=-4.0, sheets=5)
+        traj = simulate(table, PhaseState(2, 0.2, -0.4, 0.9, 0.3), max_reflections=5000)
+        for j in (1, 2, 3, 1000, 4999):
+            assert reflect(table, traj[j - 1].end) == traj[j].start
+
+    def test_sequence_protocol(self):
+        table = BookTable(k=K, sheets=3)
+        start = PhaseState(1, 0.5, 0.0, 0.0, 1.0)
+        # 1 reflection keeps the segment simulate() built, 7 build the columns
+        for reflections in (1, 7):
+            traj = simulate(table, start, max_reflections=reflections)
+            segments = list(traj)
+            assert isinstance(traj, Sequence) and isinstance(traj, Trajectory)
+            # equal runs are equal and hash as the tuple of their segments
+            again = simulate(table, start, max_reflections=reflections)
+            assert again == traj and hash(again) == hash(traj) == hash(tuple(segments))
+            assert traj != simulate(table, start, max_reflections=reflections + 1)
+            assert traj != simulate(table, start.reversed(), max_reflections=reflections)
+            assert len(traj) == len(segments) == reflections
+            assert traj.start.shape == traj.end.shape == (reflections, 4)
+            assert list(traj.sheet) == [seg.start.sheet for seg in segments]
+            assert list(traj.duration) == [seg.duration for seg in segments]
+            assert traj[-1] == segments[-1] == traj[reflections - 1]
+            assert traj[-reflections] == segments[0]
+            assert traj[1:] == segments[1:] and traj[::-2] == segments[::-2]
+            assert traj[5:1] == []
+            for index in (reflections, -reflections - 1):
+                with pytest.raises(IndexError):
+                    traj[index]
+            for seg in segments:
+                assert type(seg.start.sheet) is int and type(seg.duration) is float
+                assert {type(v) for v in (seg.end.x, seg.end.y, seg.end.vx, seg.end.vy)} == {float}
+
+    def test_iteration_matches_indexing(self):
+        # iteration reuses a row's floats in the next row only where they are
+        # bit for bit the same; here only rows 2 and 4 continue the row before
+        rng = np.random.default_rng(3)
+        start, end = rng.uniform(-1.0, 1.0, (5, 4)), rng.uniform(-1.0, 1.0, (5, 4))
+        start[2, :2], start[4, :2] = end[1, :2], end[3, :2]
+        duration = np.array([0.5, 1.5, 1.5, 2.5, 0.0])
+        traj = Trajectory((start, end, np.array([1, 2, 3, 1, 2]), duration), 4, "time")
+        assert list(traj) == traj[:]
+        assert [seg.start.x for seg in traj] == start[:, 0].tolist()
+
+    def test_one_reflection_is_the_head_arc(self):
+        start = PhaseState(1, 0.3, 0.1, 0.5, 0.7)
+        traj = simulate(BookTable(k=K, sheets=2), start, max_reflections=1)
+        assert list(traj) == event_driven(BookTable(k=K, sheets=2), start, max_reflections=1)
+        assert traj.reflections == 1 and traj.stop_reason == "reflections"
+
+
+class TestStopReason:
+    def test_reflections_and_time(self):
+        start = PhaseState(1, 0.5, 0.0, 0.0, 1.0)
+        head, arc = simulate(TABLE, start, max_reflections=2)
+        assert simulate(TABLE, start, max_reflections=0).stop_reason == "reflections"
+        assert simulate(TABLE, start, max_reflections=40, max_time=1e6).stop_reason == "reflections"
+        # cut inside the head arc, inside the first full arc, and later
+        for max_time in (0.5 * head.duration, head.duration + 0.5 * arc.duration, 50.0):
+            traj = simulate(TABLE, start, max_time=max_time)
+            assert traj.stop_reason == "time"
+            assert not traj[-1].reflected and traj.reflections == len(traj) - 1
+            assert math.fsum(traj.duration) == pytest.approx(max_time, abs=1e-12)
+
+    def test_reflection_onto_the_stable_manifold(self):
+        # (h, f) = (0, 0) to rounding: the first hit reflects v = w x exactly
+        # onto v = -w x, which falls into the equilibrium and never hits again
+        table = BookTable(k=-4.0, sheets=3)
+        start = PhaseState(
+            1, 0.034623887808666015, -0.09591432775180372,
+            -0.06924777561733216, 0.19182865550360778,
+        )
+        traj = simulate(table, start, max_reflections=3)
+        assert traj.stop_reason == "stable-manifold"
+        assert [seg.reflected for seg in traj] == [True]
+        with pytest.raises(ValidationError, match="stable manifold"):
+            simulate(table, reflect(table, traj[0].end), max_reflections=1)
+
+    def test_initial_state_on_the_stable_manifold_rejected(self):
+        with pytest.raises(ValidationError, match="stable manifold"):
+            simulate(TABLE, PhaseState(1, 0.5, 0.0, -0.5, 0.0), max_reflections=3)
+
+    def test_critical_orbit_decided_by_the_wall_speed(self):
+        # (h, f) 2e-10 above the parabola: the orbit meets the wall at
+        # v.n = 2e-5, although the start's own v.n is 0
+        table = BookTable(k=-1.0, sheets=1)
+        traj = simulate(table, PhaseState(1, 1.0 - 1e-10, 0.0, 0.0, 1.0), max_reflections=5)
+        assert [seg.reflected for seg in traj] == [True] * 5
+        assert traj[1].end.x * traj[1].end.vx + traj[1].end.y * traj[1].end.vy == pytest.approx(
+            2e-5, rel=1e-4
+        )
+        on_wall = simulate(table, PhaseState(1, 1.0, 0.0, 0.0, 1.0), max_time=3.0)
+        assert len(on_wall) == 1 and on_wall[0].boundary_orbit
+        assert on_wall.stop_reason == "time"
+
+    def test_grazing_hit_ends_the_reflections(self):
+        # the wall speed is GRAZING_TOL itself, and the hit comes out a hair below it
+        start = PhaseState(1, 1.0, 0.0, -1e-12, 0.3)
+        traj = simulate(TABLE, start, max_reflections=4)
+        assert traj.stop_reason == "grazing"
+        assert [seg.reflected for seg in traj] == [False]
+        timed = simulate(TABLE, start, max_reflections=4, max_time=5.0)
+        assert timed.stop_reason == "grazing" and timed[-1].boundary_orbit
+        assert math.fsum(timed.duration) == pytest.approx(5.0, abs=1e-12)
