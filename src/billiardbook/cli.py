@@ -106,7 +106,12 @@ class _Config:
         self.args = args
         self.file: dict = {}
         if args.config is not None:
-            self.file = json.loads(Path(args.config).read_text())
+            try:
+                self.file = json.loads(Path(args.config).read_text())
+            except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+                raise ValidationError(f"cannot read --config {args.config}: {exc}") from None
+            if not isinstance(self.file, dict):
+                raise ValidationError(f"--config {args.config} is not a JSON object")
         self.resolved: dict = {}
 
     def get(self, key: str, default=None):
@@ -139,7 +144,7 @@ def _cmd_simulate(args, cfg: _Config, out: Path) -> int:
             "a stop condition is required: --reflections N or --time T"
         )
     initial = cfg.get("initial")
-    sheet = cfg.get("sheet", 1) or 1
+    sheet = cfg.get("sheet", 1)
     if initial is None:
         seed = cfg.get("seed", 0)
         rng = np.random.default_rng(seed)
@@ -220,8 +225,6 @@ def _cmd_classify(args, cfg: _Config, out: Path) -> int:
 
 def _cmd_eigen(args, cfg: _Config, out: Path) -> int:
     k = cfg.get("k", -1.0)
-    if not k < 0:
-        raise ValidationError("k must be negative")
     spectrum = pencil_eigenvalues(k, cfg.get("lam", 1.0), cfg.get("mu", 1.0))
     doc = io.spectrum_report_dict(k, spectrum)
     doc["config"] = cfg.resolved
@@ -268,18 +271,16 @@ def _cmd_monodromy(args, cfg: _Config, out: Path) -> int:
 
 
 def _cmd_plot(args, cfg: _Config, out: Path) -> int:
-    meta, rows = io.read_trajectory_csv(args.trajectory)
+    meta, columns = io.read_trajectory_csv(args.trajectory)
     table = BookTable(k=meta["k"], sheets=meta["n"])
-    # one polyline per segment, through the sampled CSV rows themselves
-    by_segment: dict[int, list[dict]] = {}
-    for row in rows:
-        by_segment.setdefault(row["segment"], []).append(row)
-    polylines = [
-        (pts[0]["sheet"], [(row["x"], row["y"]) for row in pts])
-        for _, pts in sorted(by_segment.items())
-    ]
-    h, f = rows[0]["h"], rows[0]["f"]
-    inner = inner_radius(h, f, table.k) if in_image(h, f, table.k) else None
+    polylines, inner = [], None
+    if len(columns["segment"]):
+        # one polyline per segment, through the sampled CSV rows themselves
+        firsts = np.flatnonzero(np.diff(columns["segment"])) + 1
+        xy = np.split(np.column_stack((columns["x"], columns["y"])), firsts)
+        polylines = list(zip(columns["sheet"][np.r_[0, firsts]].tolist(), xy))
+        h, f = float(columns["h"][0]), float(columns["f"][0])
+        inner = inner_radius(h, f, table.k) if in_image(h, f, table.k) else None
     output = args.output or out / "orbit.svg"
     io.write_polylines_svg(output, polylines, inner=inner)
     print(output)

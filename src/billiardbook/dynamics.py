@@ -71,76 +71,35 @@ class Trajectory(Sequence):
     wall again).
 
     As a sequence it yields TrajectorySegment values, built from the columns
-    when they are asked for, and it hashes as the tuple of those values. A
-    run that ends within its first full wall-to-wall arc is made from the
-    segments simulate() built (``segments``, with ``columns`` None) and makes
-    its columns only when they are first read, so simulate() allocates no
-    array for it.
+    when they are asked for, and it hashes as the tuple of those values.
     """
 
-    __slots__ = ("_columns", "_segments", "reflections", "stop_reason", "boundary_orbit")
+    _COLUMNS = ("start", "end", "sheet", "duration")
+    __slots__ = (*_COLUMNS, "reflections", "stop_reason", "boundary_orbit")
 
     def __init__(
         self,
-        columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None,
+        columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         reflections: int,
         stop_reason: str,
         boundary_orbit: bool = False,
-        segments: tuple[TrajectorySegment, ...] | None = None,
     ) -> None:
-        self._columns = columns  # (start, end, sheet, duration)
-        self._segments = segments
+        self.start, self.end, self.sheet, self.duration = columns
         self.reflections = reflections
         self.stop_reason = stop_reason
         self.boundary_orbit = boundary_orbit
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._columns is None:
-            segs = self._segments
-            self._columns = (
-                np.array([(s.start.x, s.start.y, s.start.vx, s.start.vy) for s in segs])
-                .reshape(-1, 4),
-                np.array([(s.end.x, s.end.y, s.end.vx, s.end.vy) for s in segs]).reshape(-1, 4),
-                np.array([s.start.sheet for s in segs], dtype=int),
-                np.array([s.duration for s in segs], dtype=float),
-            )
-        return self._columns
-
-    @property
-    def start(self) -> np.ndarray:
-        return self._arrays()[0]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self._arrays()[1]
-
-    @property
-    def sheet(self) -> np.ndarray:
-        return self._arrays()[2]
-
-    @property
-    def duration(self) -> np.ndarray:
-        return self._arrays()[3]
-
     def __len__(self) -> int:
-        if self._segments is not None:
-            return len(self._segments)
-        return len(self._columns[3])
+        return len(self.duration)
 
     def __getitem__(self, index):
-        if self._segments is not None:
-            found = self._segments[index]
-            return list(found) if isinstance(index, slice) else found
         rows = range(len(self))[index]
         if isinstance(rows, range):
             return [self._row(i) for i in rows]
         return self._row(rows)
 
     def __iter__(self) -> Iterator[TrajectorySegment]:
-        if self._segments is not None:
-            yield from self._segments
-            return
-        start, end, sheet, duration = self._columns
+        start, end, sheet, duration = self.start, self.end, self.sheet, self.duration
         # A start sits where the previous segment ended and most arcs last
         # T_r: such a value is the previous row's float object again, bit for
         # bit, which makes a run held as segments nearly a fifth smaller.
@@ -161,9 +120,9 @@ class Trajectory(Sequence):
                 x, y, t = e[0], e[1], d
 
     def _row(self, i: int) -> TrajectorySegment:
-        start, end, sheet, duration = self._columns
         return self._segment(
-            i, int(sheet[i]), start[i].tolist(), end[i].tolist(), float(duration[i])
+            i, int(self.sheet[i]), self.start[i].tolist(), self.end[i].tolist(),
+            float(self.duration[i]),
         )
 
     def _segment(self, i, sheet, start, end, duration) -> TrajectorySegment:
@@ -181,7 +140,7 @@ class Trajectory(Sequence):
         return (
             (self.reflections, self.stop_reason, self.boundary_orbit)
             == (other.reflections, other.stop_reason, other.boundary_orbit)
-            and all(np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays()))
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in self._COLUMNS)
         )
 
     def __hash__(self) -> int:
@@ -271,13 +230,6 @@ def _rotate(state: PhaseState, angle: float) -> PhaseState:
     )
 
 
-def _boundary_orbit_segment(state: PhaseState, duration: float) -> TrajectorySegment:
-    # On r = 1 the angular speed equals f = x*vy - y*vx.
-    f = state.x * state.vy - state.y * state.vx
-    end = _rotate(state, f * duration)
-    return TrajectorySegment(state, duration, end, reflected=False, boundary_orbit=True)
-
-
 def segment_min_radius(segment: TrajectorySegment, k: float) -> float:
     """Exact minimum of r over a free-flow segment (closed form).
 
@@ -306,14 +258,8 @@ def sample_segment(segment: TrajectorySegment, k: float, count: int) -> list[Pha
     """States at count+1 equally spaced times along the segment (ends included)."""
     if segment.boundary_orbit:
         f = segment.start.x * segment.start.vy - segment.start.y * segment.start.vx
-        return [
-            _rotate(segment.start, f * segment.duration * i / count)
-            for i in range(count + 1)
-        ]
-    return [
-        flow_free(segment.start, segment.duration * i / count, k)
-        for i in range(count + 1)
-    ]
+        return [_rotate(segment.start, f * segment.duration * i / count) for i in range(count + 1)]
+    return [flow_free(segment.start, segment.duration * i / count, k) for i in range(count + 1)]
 
 
 def _rotations(row, angles: np.ndarray) -> np.ndarray:
@@ -355,28 +301,37 @@ def _sample_trajectory(
         yield lo, tau, states
 
 
-def _cut(state: PhaseState, duration: float, k: float) -> TrajectorySegment:
-    """The unreflected segment that max_time cuts short."""
-    return TrajectorySegment(state, duration, flow_free(state, duration, k), reflected=False)
-
-
 def _is_grazing(hit: PhaseState) -> bool:
     return abs(hit.x * hit.vx + hit.y * hit.vy) < GRAZING_TOL
 
 
-def _grazed(
-    done: tuple[TrajectorySegment, ...],
-    state: PhaseState,
-    t_hit: float,
-    hit: PhaseState,
-    time_left: float | None,
-) -> Trajectory:
-    """A tangential hit ends the reflections; the rest of max_time slides along the wall."""
-    segments = (*done, TrajectorySegment(state, t_hit, hit, reflected=False))
+def _slide(state: PhaseState, duration: float) -> tuple[PhaseState, float, PhaseState]:
+    """The arc that slides along the wall from a state on it, as pure rotation."""
+    # on r = 1 the angular speed equals f = x*vy - y*vx
+    f = state.x * state.vy - state.y * state.vx
+    return state, duration, _rotate(state, f * duration)
+
+
+def _arcs(arcs: list, reflections: int, stop_reason: str, boundary_orbit=False) -> Trajectory:
+    """Columns of a run that stops within its first full arc, from its
+    (start, duration, end) arcs; each arc lies on its start's sheet."""
+    return Trajectory(
+        (
+            np.array([(s.x, s.y, s.vx, s.vy) for s, _, _ in arcs], dtype=float).reshape(-1, 4),
+            np.array([(e.x, e.y, e.vx, e.vy) for _, _, e in arcs], dtype=float).reshape(-1, 4),
+            np.array([s.sheet for s, _, _ in arcs], dtype=int),
+            np.array([d for _, d, _ in arcs], dtype=float),
+        ),
+        reflections, stop_reason, boundary_orbit,
+    )
+
+
+def _grazed(arcs: list, time_left: float | None) -> Trajectory:
+    """A tangential hit ends the last arc; the rest of max_time slides along the wall."""
+    _, t_hit, hit = arcs[-1]
     sliding = time_left is not None and time_left > t_hit
-    if sliding:
-        segments += (_boundary_orbit_segment(hit, time_left - t_hit),)
-    return Trajectory(None, len(done), "grazing", sliding, segments)
+    tail = [_slide(hit, time_left - t_hit)] if sliding else []
+    return _arcs(arcs + tail, len(arcs) - 1, "grazing", sliding)
 
 
 def _hit_count(
@@ -478,31 +433,32 @@ def simulate(
     if xv * xv + max(1.0 - r2, 0.0) * (initial.speed2 - k) < GRAZING_TOL**2:
         if max_time is None:
             raise ValidationError("the boundary critical orbit never reflects; use max_time")
-        return Trajectory(None, 0, "time", True, (_boundary_orbit_segment(initial, max_time),))
+        return _arcs([_slide(initial, max_time)], 0, "time", boundary_orbit=True)
     if max_reflections == 0:
-        return Trajectory(None, 0, "reflections", segments=())
+        return _arcs([], 0, "reflections")
 
     t0 = time_to_boundary(initial, k)
     if max_time is not None and t0 >= max_time:
-        return Trajectory(None, 0, "time", segments=(_cut(initial, max_time, k),))
+        return _arcs([(initial, max_time, flow_free(initial, max_time, k))], 0, "time")
     hit = flow_free(initial, t0, k)
+    arcs = [(initial, t0, hit)]
     if _is_grazing(hit):
-        return _grazed((), initial, t0, hit, max_time)
-    head = TrajectorySegment(initial, t0, hit, reflected=True)
+        return _grazed(arcs, max_time)
     if max_reflections == 1:
-        return Trajectory(None, 1, "reflections", segments=(head,))
+        return _arcs(arcs, 1, "reflections")
 
     start = reflect(table, hit)
     try:
         t_r = time_to_boundary(start, k)
     except ValidationError:
         # start lies on the wall, so the stable manifold is the only refusal left
-        return Trajectory(None, 1, "stable-manifold", segments=(head,))
+        return _arcs(arcs, 1, "stable-manifold")
     if max_time is not None and t0 + t_r >= max_time:
-        return Trajectory(None, 1, "time", segments=(head, _cut(start, max_time - t0, k)))
+        cut = max_time - t0
+        return _arcs(arcs + [(start, cut, flow_free(start, cut, k))], 1, "time")
     end = flow_free(start, t_r, k)
     if _is_grazing(end):
-        return _grazed((head,), start, t_r, end, None if max_time is None else max_time - t0)
+        return _grazed(arcs + [(start, t_r, end)], None if max_time is None else max_time - t0)
     dphi = math.atan2(hit.x * end.y - hit.y * end.x, hit.x * end.x + hit.y * end.y)
 
     hits, tail = _hit_count(t0, t_r, max_reflections, max_time)

@@ -2,8 +2,9 @@
 
 Numeric CSV columns are written with 17 significant digits so conservation
 properties remain auditable downstream; every writer has a matching reader so
-emitted files round-trip through the package itself. SVG output is built by
-hand from a fixed template, which keeps it byte-deterministic and diff-able.
+emitted files round-trip through the package itself, and the CSV readers
+return numpy columns by name. SVG output is built by hand from a fixed
+template, which keeps it byte-deterministic and diff-able.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +27,33 @@ from .monodromy import MonodromyReport
 
 def fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+#: columns the CSV readers return as ints; every other column is a float
+_INT_COLUMNS = ("segment", "sheet", "arc_index", "singular_point")
+
+
+def _read_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header metadata, numpy columns by name) of a CSV written here.
+
+    The metadata are the ``key=value`` words of a leading ``#`` line: ``k`` a
+    float, the rest ints, and none without such a line.
+    """
+    with open(path) as fh:
+        line = fh.readline()
+        meta = {}
+        if line.startswith("#"):
+            for key, _, val in (word.partition("=") for word in line.split() if "=" in word):
+                meta[key] = float(val) if key == "k" else int(val)
+            line = fh.readline()
+        names = line.strip().split(",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file has no rows
+            body = np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, len(names))
+    return meta, {
+        name: body[:, i].astype(int) if name in _INT_COLUMNS else body[:, i]
+        for i, name in enumerate(names)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -65,24 +94,9 @@ def write_trajectory_csv(
             fh.write((line * tau.size) % tuple(rows.ravel().tolist()))
 
 
-def read_trajectory_csv(path: str | Path) -> tuple[dict, list[dict]]:
-    """Returns (header metadata, rows as dicts of floats/ints)."""
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        meta = {}
-        for tok in first.lstrip("# ").split():
-            if "=" in tok:
-                key, val = tok.split("=")
-                meta[key] = float(val) if key == "k" else int(val)
-        rows = []
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    key: (int(val) if key in ("segment", "sheet") else float(val))
-                    for key, val in row.items()
-                }
-            )
-    return meta, rows
+def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Returns (header metadata k and n, numpy columns by name)."""
+    return _read_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +116,9 @@ def write_diagram_csv(path: str | Path, diagram: BifurcationDiagram) -> None:
         writer.writerow([fmt(diagram.isolated_point[1]), fmt(diagram.isolated_point[0]), 1])
 
 
-def read_diagram_csv(path: str | Path) -> tuple[dict, list[dict]]:
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        meta = {"k": float(first.split("k=")[1])}
-        rows = [
-            {
-                "f": float(row["f"]),
-                "h_parabola": float(row["h_parabola"]),
-                "singular_point": int(row["singular_point"]),
-            }
-            for row in csv.DictReader(fh)
-        ]
-    return meta, rows
+def read_diagram_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Returns (header metadata k, numpy columns by name)."""
+    return _read_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +137,9 @@ def write_continuation_csv(path: str | Path, report: MonodromyReport) -> None:
             )
 
 
-def read_continuation_csv(path: str | Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return [
-            {key: (int(val) if key == "arc_index" else float(val)) for key, val in row.items()}
-            for row in csv.DictReader(fh)
-        ]
+def read_continuation_csv(path: str | Path) -> dict[str, np.ndarray]:
+    """Returns the numpy columns by name."""
+    return _read_csv(path)[1]
 
 
 def _fraction_str(r: Fraction | float) -> str:
@@ -200,6 +201,8 @@ def read_json(path: str | Path) -> dict:
 # SVG figures
 
 _SVG_SIZE = 560
+#: samples per segment along each orbit polyline of write_orbit_svg()
+_ORBIT_SAMPLES = 48
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
@@ -216,12 +219,11 @@ def write_orbit_svg(
     table: BookTable,
     trajectory: Trajectory,
     inner: float | None = None,
-    samples_per_segment: int = 48,
 ) -> None:
     """Unit circle, the inner circle r0, and one orbit polyline per segment."""
     sheets = trajectory.sheet.tolist()
     polylines = []
-    for lo, _, states in _sample_trajectory(trajectory, table.k, samples_per_segment):
+    for lo, _, states in _sample_trajectory(trajectory, table.k, _ORBIT_SAMPLES):
         polylines += zip(sheets[lo : lo + len(states)], states[..., :2])
     write_polylines_svg(path, polylines, inner=inner)
 

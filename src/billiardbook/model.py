@@ -82,6 +82,3 @@ class MomentumValue:
 
     h: float
     f: float
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.h, self.f)

@@ -88,19 +88,15 @@ def annulus(h: float, f: float, k: float) -> tuple[float, float]:
     return inner_radius(h, f, k), 1.0
 
 
-def classify_fiber(table: BookTable, h: float, f: float, tol: float = SIGMA_TOL) -> FiberClass:
-    """Classify the fiber over (h, f); values within tol of Sigma are singular."""
+def classify_fiber(table: BookTable, h: float, f: float) -> FiberClass:
+    """Classify the fiber over (h, f); values within SIGMA_TOL of Sigma are singular."""
     k = table.k
     d = h - (f * f + k) / 2.0
-    if d < -tol:
+    if d < -SIGMA_TOL:
         return FiberClass(FiberTag.OUTSIDE_IMAGE)
-    if max(abs(h), abs(f)) <= tol:
-        return FiberClass(
-            FiberTag.PINCHED_TORUS,
-            pinches=table.sheets,
-            contains_focus_focus=True,
-        )
-    if abs(d) <= tol:
+    if max(abs(h), abs(f)) <= SIGMA_TOL:
+        return FiberClass(FiberTag.PINCHED_TORUS, pinches=table.sheets, contains_focus_focus=True)
+    if abs(d) <= SIGMA_TOL:
         return FiberClass(FiberTag.ATOM_A_CIRCLE)
     return FiberClass(FiberTag.REGULAR_TORUS)
 
@@ -113,11 +109,6 @@ class BifurcationDiagram:
     f: np.ndarray
     h: np.ndarray
     isolated_point: tuple[float, float] = (0.0, 0.0)
-
-    @property
-    def vertex(self) -> tuple[float, float]:
-        """Parabola vertex in (h, f): the minimum of the boundary parabola."""
-        return (self.k / 2.0, 0.0)
 
 
 def bifurcation_diagram(

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import simulate
+from .dynamics import flow_free, time_to_boundary
 from .model import BookTable, ConvergenceError, PhaseState, ValidationError
 from .momentum import FiberTag, classify_fiber, inner_radius_squared
 
@@ -108,21 +108,21 @@ def boundary_state(table: BookTable, h: float, f: float) -> PhaseState:
 
 
 def radial_period_simulated(table: BookTable, h: float, f: float) -> PeriodSample:
-    """T_r and dphi measured on one simulated wall-to-wall segment.
+    """T_r and dphi measured on one wall-to-wall arc of the exact flow.
 
-    Independent of the closed forms: the period is the exact first-return
-    time to the wall, the advance is the signed angle between the segment's
-    endpoints. One arc advances by |dphi| <= pi with the sign of f, which
+    Independent of the closed forms: the period is the first-return time to
+    the wall from time_to_boundary(), the advance is the signed angle between
+    the arc's endpoints. One arc advances by |dphi| <= pi with the sign of f, which
     makes that angle unambiguous.
     """
     fiber = classify_fiber(table, h, f)
     if fiber.tag is not FiberTag.REGULAR_TORUS:
         raise ValidationError(f"({h}, {f}) is not a regular value")
-    start = boundary_state(table, h, f)
-    segment = simulate(table, start, max_reflections=1)[0]
-    a, b = segment.start, segment.end
+    a = boundary_state(table, h, f)
+    t_r = time_to_boundary(a, table.k)
+    b = flow_free(a, t_r, table.k)
     dphi = math.atan2(a.x * b.y - a.y * b.x, a.x * b.x + a.y * b.y)
-    return PeriodSample(h, f, segment.duration, dphi, table.sheets * dphi)
+    return PeriodSample(h, f, t_r, dphi, table.sheets * dphi)
 
 
 def loop_around_origin(

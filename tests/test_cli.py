@@ -26,10 +26,10 @@ class TestSimulate:
             "--reflections", "25", "--svg",
         )
         assert code == 0
-        meta, rows = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+        meta, columns = io.read_trajectory_csv(tmp_path / "trajectory.csv")
         assert meta == {"k": -1.0, "n": 3}
-        assert rows[0]["h"] == pytest.approx(0.375)
-        assert {row["sheet"] for row in rows} == {1, 2, 3}
+        assert columns["h"][0] == pytest.approx(0.375)
+        assert set(columns["sheet"].tolist()) == {1, 2, 3}
         svg = (tmp_path / "orbit.svg").read_text()
         assert svg.startswith("<?xml") and "<polyline" in svg
 
@@ -45,8 +45,8 @@ class TestSimulate:
         )
         assert code == 0
         assert capsys.readouterr().err == "stopped early: stable-manifold; reflections made: 1\n"
-        _, rows = io.read_trajectory_csv(tmp_path / "trajectory.csv")
-        assert {row["segment"] for row in rows} == {0}
+        _, columns = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+        assert set(columns["segment"].tolist()) == {0}
 
     def test_full_run_reports_nothing(self, tmp_path, capsys):
         code = run(
@@ -59,6 +59,31 @@ class TestSimulate:
         code = run(tmp_path, "simulate", "-k", "-1", "--initial", "0.5", "0", "0", "1")
         assert code == 2
         assert "stop condition" in capsys.readouterr().err
+
+    def test_sheet_off_the_book_exits_2(self, tmp_path, capsys):
+        for sheet in ("0", "4"):
+            code = run(tmp_path, "simulate", "-k", "-1", "--sheet", sheet, "--reflections", "5")
+            assert code == 2
+            assert capsys.readouterr().err == f"error: sheet must be in 1..1, got {sheet}\n"
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name,text,message",
+        [
+            ("missing.json", None, "cannot read --config"),
+            ("bad.json", '{"k": -1.0,', "cannot read --config"),
+            ("list.json", "[-1.0]", "is not a JSON object"),
+        ],
+        ids=["missing", "invalid-json", "not-an-object"],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, name, text, message):
+        config = tmp_path / name
+        if text is not None:
+            config.write_text(text)
+        code = main(["--config", str(config), "--out-dir", str(tmp_path), "eigen"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_invalid_k_exits_2(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "-k", "1", "--reflections", "5")
@@ -82,9 +107,9 @@ class TestSimulate:
              "simulate", "-n", "2"]
         )
         assert code == 0
-        meta, rows = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+        meta, columns = io.read_trajectory_csv(tmp_path / "trajectory.csv")
         assert meta["n"] == 2
-        assert rows[-1]["segment"] == 4
+        assert columns["segment"][-1] == 4
 
     def test_config_file_sets_store_true_flags(self, tmp_path, capsys):
         def config(**doc):
@@ -112,12 +137,11 @@ class TestSimulate:
 class TestDiagram:
     def test_csv_roundtrip_and_flagged_singular_row(self, tmp_path):
         assert run(tmp_path, "diagram", "-k", "-1", "--svg") == 0
-        meta, rows = io.read_diagram_csv(tmp_path / "diagram.csv")
+        meta, columns = io.read_diagram_csv(tmp_path / "diagram.csv")
         assert meta["k"] == -1.0
-        singular = [row for row in rows if row["singular_point"] == 1]
-        assert singular == [{"f": 0.0, "h_parabola": 0.0, "singular_point": 1}]
-        mid = [row for row in rows if row["singular_point"] == 0 and row["f"] == 0.0]
-        assert mid[0]["h_parabola"] == -0.5
+        f, h, flag = columns["f"], columns["h_parabola"], columns["singular_point"]
+        assert (f[flag == 1].tolist(), h[flag == 1].tolist()) == ([0.0], [0.0])
+        assert h[(flag == 0) & (f == 0.0)][0] == -0.5
         assert (tmp_path / "diagram.svg").exists()
 
     def test_svg_deterministic(self, tmp_path):
@@ -183,9 +207,9 @@ class TestMonodromy:
         }
         assert doc["config"]["c"] == 0.5
         assert 0.0 < doc["unwrap_margin"] < 1.0
-        rows = io.read_continuation_csv(tmp_path / "continuation.csv")
-        assert rows[0]["arc_index"] == 0
-        span = rows[-1]["theta_unwrapped"] - rows[0]["theta_unwrapped"]
+        columns = io.read_continuation_csv(tmp_path / "continuation.csv")
+        assert columns["arc_index"][0] == 0
+        span = columns["theta_unwrapped"][-1] - columns["theta_unwrapped"][0]
         assert span == pytest.approx(3 * 2 * math.pi, abs=1e-9)
 
 
@@ -200,6 +224,18 @@ class TestPlot:
              "--trajectory", str(tmp_path / "trajectory.csv")]
         ) == 0
         assert "<polyline" in (tmp_path / "orbit.svg").read_text()
+
+    def test_header_only_csv_draws_the_unit_circle(self, tmp_path):
+        assert run(
+            tmp_path, "simulate", "-k", "-1",
+            "--initial", "0.5", "0", "0", "1", "--reflections", "0",
+        ) == 0
+        assert main(
+            ["--out-dir", str(tmp_path), "plot",
+             "--trajectory", str(tmp_path / "trajectory.csv")]
+        ) == 0
+        svg = (tmp_path / "orbit.svg").read_text()
+        assert svg.count("<circle") == 1 and 'r="1"' in svg and "<polyline" not in svg
 
     def test_boundary_orbit_stays_on_the_disk(self, tmp_path):
         # the critical orbit slides along the wall; its rows lie on r = 1

@@ -382,7 +382,7 @@ class TestBounceMap:
     def test_sequence_protocol(self):
         table = BookTable(k=K, sheets=3)
         start = PhaseState(1, 0.5, 0.0, 0.0, 1.0)
-        # 1 reflection keeps the segment simulate() built, 7 build the columns
+        # 1 reflection stops at the head arc, 7 come from the bounce map
         for reflections in (1, 7):
             traj = simulate(table, start, max_reflections=reflections)
             segments = list(traj)
@@ -423,6 +423,56 @@ class TestBounceMap:
         traj = simulate(BookTable(k=K, sheets=2), start, max_reflections=1)
         assert list(traj) == event_driven(BookTable(k=K, sheets=2), start, max_reflections=1)
         assert traj.reflections == 1 and traj.stop_reason == "reflections"
+
+
+GRAZE = PhaseState(1, 1.0, 0.0, -1e-12, 0.3)
+# the first hit is the start itself, at v.n = GRAZING_TOL; the second comes out below it
+GRAZE_SECOND = PhaseState(1, 1.0, 0.0, 1e-12, 0.7)
+HEAD = PhaseState(1, 0.5, 0.0, 0.0, 1.0)  # head arc 0.713, full arcs 1.43
+EARLY_STOPS = {
+    # name: (table, start, stop, (reflections, stop_reason, boundary_orbit, segments),
+    #        the event-driven stepper's stop that gives the whole run, if one does)
+    "boundary-orbit": (TABLE, PhaseState(1, 1.0, 0.0, 0.0, 0.5), {"max_time": 4.0},
+                       (0, "time", True, 1), None),
+    "no-reflection": (TABLE, HEAD, {"max_reflections": 0}, (0, "reflections", False, 0),
+                      {"max_reflections": 0}),
+    "cut-head-arc": (TABLE, HEAD, {"max_time": 0.3}, (0, "time", False, 1), {"max_time": 0.3}),
+    "grazing-first-hit": (TABLE, GRAZE, {"max_reflections": 4}, (0, "grazing", False, 1), None),
+    "grazing-first-hit-slides": (TABLE, GRAZE, {"max_reflections": 4, "max_time": 5.0},
+                                 (0, "grazing", True, 2), None),
+    "one-reflection": (BookTable(k=K, sheets=2), PhaseState(2, 0.3, 0.1, 0.5, 0.7),
+                       {"max_reflections": 1}, (1, "reflections", False, 1),
+                       {"max_reflections": 1}),
+    "stable-manifold": (BookTable(k=-4.0, sheets=3),
+                        PhaseState(1, 0.034623887808666015, -0.09591432775180372,
+                                   -0.06924777561733216, 0.19182865550360778),
+                        {"max_reflections": 3}, (1, "stable-manifold", False, 1),
+                        {"max_reflections": 1}),
+    "cut-first-arc": (BookTable(k=K, sheets=2), HEAD, {"max_time": 1.4},
+                      (1, "time", False, 2), {"max_time": 1.4}),
+    "grazing-second-hit": (BookTable(k=K, sheets=2), GRAZE_SECOND, {"max_reflections": 4},
+                           (1, "grazing", False, 2), None),
+    "grazing-second-hit-slides": (BookTable(k=K, sheets=2), GRAZE_SECOND, {"max_time": 5.0},
+                                  (1, "grazing", True, 3), None),
+}
+
+
+@pytest.mark.parametrize("name", EARLY_STOPS)
+def test_early_stop_columns(name):
+    """Every run that stops within its first full arc, built as columns."""
+    table, start, stop, expected, whole_run = EARLY_STOPS[name]
+    traj = simulate(table, start, **stop)
+    assert (traj.reflections, traj.stop_reason, traj.boundary_orbit, len(traj)) == expected
+    assert traj.start.shape == traj.end.shape == (len(traj), 4)
+    assert traj.start.dtype == traj.end.dtype == traj.duration.dtype == np.float64
+    assert traj.sheet.dtype == np.dtype(int) and traj.duration.shape == traj.sheet.shape
+    assert list(traj) == traj[:]
+    # the reflected arcs are the stepper's; so is the whole run where it can make it
+    assert traj[: traj.reflections] == event_driven(table, start, traj.reflections)
+    if whole_run is not None:
+        assert list(traj) == event_driven(table, start, **whole_run)
+    if traj.boundary_orbit:
+        assert math.fsum(traj.duration) == pytest.approx(stop["max_time"], abs=1e-12)
 
 
 class TestStopReason:

@@ -2,9 +2,20 @@
 
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from billiardbook import BookTable, PhaseState, io, momentum_map, sample_segment, simulate
+from billiardbook import (
+    BookTable,
+    PhaseState,
+    bifurcation_diagram,
+    continue_theta,
+    io,
+    loop_around_origin,
+    momentum_map,
+    sample_segment,
+    simulate,
+)
 
 RUNS = [
     # numpy columns, reflection-stopped
@@ -50,8 +61,8 @@ def test_csv_rows_match_per_row_sampling(tmp_path, table, start, stop):
         assert all(io.fmt(float(v)) == v for v in row[2:])
         worst = max(worst, max(abs(float(v) - r) for v, r in zip(row[2:], ref[2:])))
     assert worst <= 1e-12
-    meta, rows = io.read_trajectory_csv(path)
-    assert meta == {"k": table.k, "n": table.sheets} and len(rows) == len(expected)
+    meta, columns = io.read_trajectory_csv(path)
+    assert meta == {"k": table.k, "n": table.sheets} and len(columns["t"]) == len(expected)
 
 
 @pytest.mark.parametrize("table,start,stop", RUNS, ids=IDS)
@@ -71,3 +82,49 @@ def test_svg_points_match_per_row_sampling(tmp_path, table, start, stop):
         worst = max(worst, max(abs(a - b) for p, q in zip(points, expected) for a, b in zip(p, q)))
     # six decimals round by at most 5e-7
     assert worst <= 5e-7 + 1e-12
+
+
+def written_columns(path):
+    """A CSV's columns parsed value by value, after its metadata line if it has one."""
+    lines = path.read_text().splitlines()
+    if lines[0].startswith("#"):
+        lines = lines[1:]
+    names, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    ints = ("segment", "sheet", "arc_index", "singular_point")
+    return {
+        name: (int if name in ints else float, [row[i] for row in rows])
+        for i, name in enumerate(names)
+    }
+
+
+def write_and_read(kind, path):
+    table, start = BookTable(k=-4.0, sheets=2), PhaseState(2, 0.2, -0.4, 0.9, 0.3)
+    if kind in ("trajectory", "empty-trajectory"):
+        stop = {"max_time": 40.3} if kind == "trajectory" else {"max_reflections": 0}
+        io.write_trajectory_csv(path, table, simulate(table, start, **stop))
+        return io.read_trajectory_csv(path)
+    if kind == "diagram":
+        io.write_diagram_csv(path, bifurcation_diagram(-4.0, resolution=21))
+        return io.read_diagram_csv(path)
+    report = continue_theta(table, loop_around_origin(table, c=0.5, f_max=1.6, points_per_arc=8))
+    io.write_continuation_csv(path, report)
+    return None, io.read_continuation_csv(path)
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "empty-trajectory", "diagram", "continuation"])
+def test_readers_return_the_written_columns(tmp_path, kind):
+    path = tmp_path / "out.csv"
+    meta, columns = write_and_read(kind, path)
+    assert meta == {
+        "trajectory": {"k": -4.0, "n": 2},
+        "empty-trajectory": {"k": -4.0, "n": 2},
+        "diagram": {"k": -4.0},
+        "continuation": None,
+    }[kind]
+    written = written_columns(path)
+    assert list(columns) == list(written)
+    for name, (parse, values) in written.items():
+        assert columns[name].dtype == np.dtype(parse) and columns[name].shape == (len(values),)
+        assert columns[name].tolist() == [parse(v) for v in values]
+    # a header-only file gives empty columns of the same dtypes
+    assert all(len(column) == 0 for column in columns.values()) == (kind == "empty-trajectory")

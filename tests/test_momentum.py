@@ -29,7 +29,7 @@ TABLE = BookTable(k=K, sheets=1)
 class TestMomentumMap:
     def test_equilibrium_maps_to_origin(self):
         mv = momentum_map(PhaseState(1, 0.0, 0.0, 0.0, 0.0), K)
-        assert mv.as_tuple() == (0.0, 0.0)
+        assert (mv.h, mv.f) == (0.0, 0.0)
 
     def test_direct_substitution_on_boundary(self):
         mv = momentum_map(PhaseState(1, 1.0, 0.0, 0.0, 1.0), K)
@@ -145,10 +145,6 @@ class TestBifurcationDiagram:
     def test_isolated_point_is_origin(self):
         for k in (-1.0, -2.5, -0.3):
             assert bifurcation_diagram(k).isolated_point == (0.0, 0.0)
-
-    def test_vertex(self):
-        assert bifurcation_diagram(-1.0).vertex == (-0.5, 0.0)
-        assert bifurcation_diagram(-3.0).vertex == (-1.5, 0.0)
 
     def test_resolution_validated(self):
         with pytest.raises(ValidationError):

@@ -10,12 +10,14 @@ from billiardbook import (
     BookTable,
     FiberTag,
     ValidationError,
+    boundary_state,
     classify_fiber,
     continue_theta,
     loop_around_origin,
     molecule_labels,
     radial_period_quadrature,
     radial_period_simulated,
+    simulate,
 )
 
 K = -1.0
@@ -97,6 +99,32 @@ class TestRadialPeriodQuadrature:
             radial_period_quadrature(table, 0.0, 0.0)
         with pytest.raises(ValidationError):
             radial_period_quadrature(table, -0.5, 0.0)
+
+
+class TestRadialPeriodSimulated:
+    def test_is_the_first_arc_of_simulate_bit_for_bit(self):
+        # random regular values, values near the parabola, and f -> 0+- with h > 0
+        rng = np.random.default_rng(41)
+        for k in KS:
+            table = BookTable(k=k, sheets=3)
+            values = []
+            for _ in range(200):
+                f = rng.uniform(-1.5, 1.5)
+                values.append(((f * f + k) / 2.0 + rng.uniform(1e-3, 2.0), f))
+            for f in (-1.2, -0.4, 0.0, 0.3, 1.1):
+                values += [((f * f + k) / 2.0 + 10.0**e, f) for e in (-8.0, -6.0, -3.0)]
+            for h in (0.05, 0.5, 1.5):
+                values += [(h, s * 10.0**e) for s in (-1.0, 1.0) for e in (-12.0, -8.0, -4.0)]
+            for h, f in values:
+                if classify_fiber(table, h, f).tag is not FiberTag.REGULAR_TORUS:
+                    continue
+                sample = radial_period_simulated(table, h, f)
+                arc = simulate(table, boundary_state(table, h, f), max_reflections=1)[0]
+                a, b = arc.start, arc.end
+                dphi = math.atan2(a.x * b.y - a.y * b.x, a.x * b.x + a.y * b.y)
+                got = (sample.h, sample.f, sample.T_r, sample.dphi, sample.theta)
+                expected = (h, f, arc.duration, dphi, 3 * dphi)
+                assert [v.hex() for v in got] == [float(v).hex() for v in expected]
 
 
 class TestClosedForms:
