@@ -20,7 +20,16 @@ from . import io
 from .dynamics import simulate
 from .linearization import pencil_eigenvalues
 from .model import BookTable, ConvergenceError, PhaseState, ValidationError
-from .momentum import bifurcation_diagram, classify_fiber, in_image, inner_radius, momentum_map
+from .momentum import (
+    FIBER_TAGS,
+    FiberTag,
+    bifurcation_diagram,
+    classify_fiber,
+    classify_grid,
+    in_image,
+    inner_radius,
+    momentum_map,
+)
 from .monodromy import (
     continue_theta,
     loop_around_origin,
@@ -31,7 +40,8 @@ from .monodromy import (
 OUT_DIR_ENV = "BILLIARDBOOK_OUT"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and, by command name, its subcommand parsers."""
     parser = argparse.ArgumentParser(
         prog="billiardbook",
         description="Circular billiard books with a repelling Hooke potential.",
@@ -96,14 +106,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory", type=Path, required=True)
     p.add_argument("--output", type=Path, default=None)
 
-    return parser
+    return parser, sub.choices
+
+
+def _fits(kind, nargs, value) -> bool:
+    """Whether a JSON value has the type an option of this type and nargs parses to."""
+    if nargs == 0:  # store-true flag
+        return isinstance(value, bool)
+    if isinstance(nargs, int):
+        return (
+            isinstance(value, list)
+            and len(value) == nargs
+            and all(_fits(kind, None, v) for v in value)
+        )
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, {float: (int, float), int: int}.get(kind, str))
 
 
 class _Config:
     """Layered lookup: CLI flag, then config-file key, then builtin default."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, command: argparse.ArgumentParser):
         self.args = args
+        self.options = {action.dest: action for action in command._actions}
         self.file: dict = {}
         if args.config is not None:
             try:
@@ -115,9 +141,18 @@ class _Config:
         self.resolved: dict = {}
 
     def get(self, key: str, default=None):
-        value = getattr(self.args, key.replace("-", "_"), None)
-        if value is None:
-            value = self.file.get(key, default)
+        dest = key.replace("-", "_")
+        value = getattr(self.args, dest, None)
+        if value is None and key in self.file:
+            value = self.file[key]
+            action = self.options[dest]
+            if not _fits(action.type, action.nargs, value):
+                raise ValidationError(
+                    f"--config {self.args.config}: {value!r} does not fit "
+                    f"{action.option_strings[-1]}"
+                )
+        elif value is None:
+            value = default
         self.resolved[key] = value
         return value
 
@@ -192,18 +227,27 @@ def _cmd_diagram(args, cfg: _Config, out: Path) -> int:
 def _cmd_classify(args, cfg: _Config, out: Path) -> int:
     table = _table(cfg)
     if cfg.get("grid", False):
-        h = np.linspace(cfg.get("h-min", -1.5), cfg.get("h-max", 1.5), cfg.get("resolution", 201))
-        f = np.linspace(cfg.get("f-min", -1.5), cfg.get("f-max", 1.5), cfg.get("resolution", 201))
+        resolution = cfg.get("resolution", 201)
+        if resolution < 2:
+            raise ValidationError("resolution must be >= 2")
+        h = np.linspace(cfg.get("h-min", -1.5), cfg.get("h-max", 1.5), resolution)
+        f = np.linspace(cfg.get("f-min", -1.5), cfg.get("f-max", 1.5), resolution)
+        # "tag,pinches" of each FIBER_TAGS index; only a pinched torus counts pinches
+        labels = np.array([
+            f"{tag.value},{table.sheets if tag is FiberTag.PINCHED_TORUS else ''}"
+            for tag in FIBER_TAGS
+        ], dtype=object)
+        rows = np.empty((f.size, 3), dtype=object)
+        rows[:, 1] = f
+        line = "%.17g,%.17g,%s\n" * f.size
         path = out / "classification.csv"
         with open(path, "w") as fh:
             fh.write("h,f,tag,pinches\n")
-            for hv in h:
-                for fv in f:
-                    fiber = classify_fiber(table, float(hv), float(fv))
-                    fh.write(
-                        f"{io.fmt(hv)},{io.fmt(fv)},{fiber.tag.value},"
-                        f"{fiber.pinches if fiber.pinches is not None else ''}\n"
-                    )
+            # one row of the grid, all f at one h, per write
+            for hv, codes in zip(h, classify_grid(table, h[:, None], f)):
+                rows[:, 0] = hv
+                rows[:, 2] = labels[codes]
+                fh.write(line % tuple(rows.ravel().tolist()))
         print(path)
         return 0
     h, f = cfg.get("h"), cfg.get("f")
@@ -299,10 +343,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _Config(args)
+        cfg = _Config(args, commands[args.command])
         out = _out_dir(args)
         return _COMMANDS[args.command](args, cfg, out)
     except ValidationError as exc:

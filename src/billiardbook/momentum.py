@@ -24,7 +24,10 @@ class FiberTag(enum.Enum):
     ATOM_A_CIRCLE = "atom-A-circle"
     REGULAR_TORUS = "regular-torus"
     PINCHED_TORUS = "pinched-torus"
-    FOCUS_FOCUS_POINT = "focus-focus-point"
+
+
+#: the tags in their enum order; classify_grid() returns indices into it
+FIBER_TAGS = tuple(FiberTag)
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,23 @@ def classify_fiber(table: BookTable, h: float, f: float) -> FiberClass:
     if abs(d) <= SIGMA_TOL:
         return FiberClass(FiberTag.ATOM_A_CIRCLE)
     return FiberClass(FiberTag.REGULAR_TORUS)
+
+
+def classify_grid(table: BookTable, h, f) -> np.ndarray:
+    """classify_fiber's rule on broadcast arrays: the FIBER_TAGS index of each value.
+
+    The same comparisons in the same order as classify_fiber, which stays the
+    scalar form because numpy's per-call cost outweighs the work on one value.
+    """
+    h, f = np.asarray(h, dtype=float), np.asarray(f, dtype=float)
+    d = h - (f * f + table.k) / 2.0
+    return np.select(
+        [d < -SIGMA_TOL, np.maximum(np.abs(h), np.abs(f)) <= SIGMA_TOL, np.abs(d) <= SIGMA_TOL],
+        [FIBER_TAGS.index(tag) for tag in (
+            FiberTag.OUTSIDE_IMAGE, FiberTag.PINCHED_TORUS, FiberTag.ATOM_A_CIRCLE
+        )],
+        FIBER_TAGS.index(FiberTag.REGULAR_TORUS),
+    )
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,9 @@ import numpy as np
 
 from .dynamics import flow_free, time_to_boundary
 from .model import BookTable, ConvergenceError, PhaseState, ValidationError
-from .momentum import FiberTag, classify_fiber, inner_radius_squared
+from .momentum import FIBER_TAGS, FiberTag, classify_fiber, classify_grid, inner_radius_squared
 
-#: unwrapping is unambiguous only if theta steps stay below this
+#: unwrapping is unambiguous only if dphi steps stay below this
 UNWRAP_STEP = math.pi / 2
 #: maximum waypoint-bisection depth before giving up
 MAX_REFINE_DEPTH = 48
@@ -66,7 +66,7 @@ class MonodromyReport:
     theta_unwrapped: tuple[float, ...]
     delta_theta: float
     m: int
-    unwrap_margin: float  # largest kept |theta step| over UNWRAP_STEP, below 1
+    unwrap_margin: float  # largest |dphi step| over UNWRAP_STEP, below 1
     monodromy_matrix: tuple[tuple[int, int], tuple[int, int]]
     gluing_matrix_hpos: tuple[tuple[int, int], tuple[int, int]] | None
     labels: MoleculeLabels | None
@@ -78,8 +78,13 @@ def radial_period_quadrature(table: BookTable, h: float, f: float) -> PeriodSamp
     The name is kept for API stability: the function evaluates the closed
     forms of the module docstring, not a quadrature. For f = 0 with h > 0
     (diameter orbits) rho0 = 0 and the center passage contributes the
-    f -> 0+ limit dphi = pi; the f -> 0- limit -pi gives a theta that differs
-    by 2*pi*n, which continue_theta's unwrapping absorbs.
+    f -> 0+ limit dphi = pi; the f -> 0- limit -pi differs by 2*pi, which
+    continue_theta's unwrapping absorbs.
+
+    This is the scalar form of _period_columns(), which continue_theta uses
+    on whole loops. Both stay: on one value numpy's per-call cost is several
+    times the work, and on a loop of waypoints one array pass is far cheaper
+    than a call per waypoint.
     """
     fiber = classify_fiber(table, h, f)
     if fiber.tag is not FiberTag.REGULAR_TORUS:
@@ -97,6 +102,32 @@ def radial_period_quadrature(table: BookTable, h: float, f: float) -> PeriodSamp
         rho0 = inner_radius_squared(h, f, k)
         dphi = 2.0 * math.atan2(f * math.tanh(w * t_r / 2.0), w * rho0)
     return PeriodSample(h, f, t_r, dphi, table.sheets * dphi)
+
+
+def _period_columns(k: float, h: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T_r and dphi of radial_period_quadrature() at arrays of regular values."""
+    w = math.sqrt(-k)
+    root = np.sqrt(h * h - k * f * f)
+    t_r = np.arccosh((1.0 - h / k) / (root / -k)) / w
+    # rho0 as inner_radius_squared() takes it, without its cancellation for h > 0
+    rho0 = (root - h) / -k
+    right = h > 0.0
+    rho0[right] = (f * f)[right] / (root + h)[right]
+    dphi = 2.0 * np.arctan2(f * np.tanh(w * t_r / 2.0), w * rho0)
+    dphi[right & (f == 0.0)] = math.pi
+    return t_r, dphi
+
+
+def _require_regular(table: BookTable, h: np.ndarray, f: np.ndarray) -> None:
+    """Raise ValidationError at the first loop waypoint that is not a regular value."""
+    codes = classify_grid(table, h, f)
+    bad = np.flatnonzero(codes != FIBER_TAGS.index(FiberTag.REGULAR_TORUS))
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(
+            f"loop waypoint ({h[i]}, {f[i]}) is not a regular value "
+            f"(fiber: {FIBER_TAGS[codes[i]].value})"
+        )
 
 
 def boundary_state(table: BookTable, h: float, f: float) -> PhaseState:
@@ -150,19 +181,15 @@ def loop_around_origin(
     if points_per_arc < 2:
         raise ValidationError("points_per_arc must be >= 2")
 
-    waypoints: list[tuple[float, float]] = []
     # parabola arc traversed with f increasing: in the (f, h) plane the arc
-    # passes below the origin, so this orientation winds counterclockwise
-    for f in np.linspace(-f_max, f_max, points_per_arc + 1):
-        waypoints.append(((f * f + c * c * k) / (2.0 * c), float(f)))
-    # closing segment at constant h right of the origin, f decreasing
-    for f in np.linspace(f_max, -f_max, points_per_arc + 1)[1:-1]:
-        waypoints.append((h_right, float(f)))
-
-    for h, f in waypoints:
-        if classify_fiber(table, h, f).tag is not FiberTag.REGULAR_TORUS:
-            raise ValidationError(f"loop waypoint ({h}, {f}) is not a regular value")
-    return waypoints
+    # passes below the origin, so this orientation winds counterclockwise;
+    # then the closing segment at constant h right of the origin, f decreasing
+    f_arc = np.linspace(-f_max, f_max, points_per_arc + 1)
+    f_segment = np.linspace(f_max, -f_max, points_per_arc + 1)[1:-1]
+    h = np.concatenate(((f_arc * f_arc + c * c * k) / (2.0 * c), np.full(f_segment.size, h_right)))
+    f = np.concatenate((f_arc, f_segment))
+    _require_regular(table, h, f)
+    return list(zip(h.tolist(), f.tolist()))
 
 
 def _labels_from_m(m: int) -> MoleculeLabels:
@@ -175,59 +202,75 @@ def _labels_from_m(m: int) -> MoleculeLabels:
     )
 
 
+def _unwrap(dphi: np.ndarray) -> np.ndarray:
+    """dphi moved by whole turns so that each step is the nearest to zero."""
+    turns = np.cumsum(np.round(np.diff(dphi) / (2.0 * math.pi)))
+    return dphi - 2.0 * math.pi * np.concatenate(([0.0], turns))
+
+
+def _midpoint(table: BookTable, h: np.ndarray, f: np.ndarray, i: int) -> tuple[float, ...]:
+    """(h, f, T_r, dphi) halfway between waypoints i and i + 1, from the scalar form."""
+    mid = (float(h[i] + h[i + 1]) / 2.0, float(f[i] + f[i + 1]) / 2.0)
+    try:
+        s = radial_period_quadrature(table, *mid)
+    except ValidationError as exc:
+        raise ConvergenceError(f"bisection met a singular value: {exc}") from None
+    return s.h, s.f, s.T_r, s.dphi
+
+
 def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> MonodromyReport:
     """Continue the unwrapped theta along the closed loop and read off m.
 
-    Each raw theta sample is adjusted by the nearest multiple of 2*pi to its
-    predecessor; waypoint pairs whose adjusted step is still >= pi/2 are
-    bisected adaptively. After a full turn theta gains 2*pi*m. The report's
-    unwrap_margin is the largest kept step over pi/2.
+    The closed forms run on all waypoints in one array pass. dphi jumps only
+    by 2*pi, across the cut f = 0, h > 0, so dphi (not theta = n * dphi,
+    whose steps alias once they near 2*pi) is unwrapped, each step taken
+    nearest to zero, and theta_unwrapped = n * dphi_unwrapped. Waypoint gaps
+    whose unwrapped dphi step is still >= pi/2 are bisected, with the scalar
+    closed form at each midpoint, until every step is below pi/2. After a full
+    turn theta gains 2*pi*m. The report's unwrap_margin is the largest dphi
+    step over pi/2.
     """
     if len(loop) < 3:
         raise ValidationError("loop needs at least 3 waypoints")
+    h, f = np.asarray(loop, dtype=float).T
+    _require_regular(table, h, f)
+    t_r, dphi = _period_columns(table.k, h, f)
+    # close the loop: its last sample is loop[0] again
+    h, f, t_r, dphi = (np.append(v, v[0]) for v in (h, f, t_r, dphi))
 
-    samples: list[PeriodSample] = []
-    unwrapped: list[float] = []
-
-    first = radial_period_quadrature(table, *loop[0])
-    samples.append(first)
-    unwrapped.append(first.theta)
-
-    def advance(prev_pt, prev_theta, point, depth):
-        s = radial_period_quadrature(table, *point)
-        theta = s.theta + 2.0 * math.pi * round((prev_theta - s.theta) / (2.0 * math.pi))
-        if abs(theta - prev_theta) < UNWRAP_STEP:
-            samples.append(s)
-            unwrapped.append(theta)
-            return theta
-        if depth >= MAX_REFINE_DEPTH:
+    for depth in range(MAX_REFINE_DEPTH + 1):
+        unwrapped = _unwrap(dphi)
+        steps = np.abs(np.diff(unwrapped))
+        gaps = np.flatnonzero(steps >= UNWRAP_STEP)
+        if not gaps.size:
+            break
+        if depth == MAX_REFINE_DEPTH:
+            i = gaps[0]
             raise ConvergenceError(
-                f"theta unwrapping did not stabilize between {prev_pt} and {point}"
+                f"dphi unwrapping did not stabilize between ({h[i]}, {f[i]}) "
+                f"and ({h[i + 1]}, {f[i + 1]})"
             )
-        mid = ((prev_pt[0] + point[0]) / 2.0, (prev_pt[1] + point[1]) / 2.0)
-        mid_theta = advance(prev_pt, prev_theta, mid, depth + 1)
-        return advance(mid, mid_theta, point, depth + 1)
+        mids = zip(*(_midpoint(table, h, f, i) for i in gaps.tolist()))
+        h, f, t_r, dphi = (np.insert(v, gaps + 1, new) for v, new in zip((h, f, t_r, dphi), mids))
 
-    prev_pt = loop[0]
-    prev_theta = unwrapped[0]
-    for point in list(loop[1:]) + [loop[0]]:
-        prev_theta = advance(prev_pt, prev_theta, point, 0)
-        prev_pt = point
-
+    n = table.sheets
+    theta = n * dphi
+    unwrapped = (n * unwrapped).tolist()
     # the last sample is loop[0] again, so delta is a whole multiple of 2*pi;
     # m is as trustworthy as the largest step is clear of the unwrapping limit
     delta = unwrapped[-1] - unwrapped[0]
     m = round(delta / (2.0 * math.pi))
-    largest_step = max(abs(b - a) for a, b in zip(unwrapped, unwrapped[1:]))
     gluing = ((1, m), (0, -1)) if m != 0 else None
     labels = _labels_from_m(m) if m >= 1 else None
     return MonodromyReport(
         loop=tuple(loop),
-        samples=tuple(samples),
+        samples=tuple(
+            map(PeriodSample, h.tolist(), f.tolist(), t_r.tolist(), dphi.tolist(), theta.tolist())
+        ),
         theta_unwrapped=tuple(unwrapped),
         delta_theta=delta,
         m=m,
-        unwrap_margin=largest_step / UNWRAP_STEP,
+        unwrap_margin=float(steps.max()) / UNWRAP_STEP,
         monodromy_matrix=((1, 0), (m, 1)),
         gluing_matrix_hpos=gluing,
         labels=labels,

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import billiardbook
-from billiardbook import io
+from billiardbook import BookTable, classify_fiber, io
 from billiardbook.cli import main
 
 
@@ -73,8 +74,11 @@ class TestSimulate:
             ("missing.json", None, "cannot read --config"),
             ("bad.json", '{"k": -1.0,', "cannot read --config"),
             ("list.json", "[-1.0]", "is not a JSON object"),
+            ("string-k.json", '{"k": "x"}', "'x' does not fit -k"),
+            ("list-lam.json", '{"lam": [1.0]}', "[1.0] does not fit --lam"),
+            ("bool-mu.json", '{"mu": true}', "True does not fit --mu"),
         ],
-        ids=["missing", "invalid-json", "not-an-object"],
+        ids=["missing", "invalid-json", "not-an-object", "string-k", "list-lam", "bool-mu"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, name, text, message):
         config = tmp_path / name
@@ -167,6 +171,28 @@ class TestClassify:
         assert text[0] == "h,f,tag,pinches"
         assert len(text) == 1 + 21 * 21
 
+    def test_grid_resolution_below_2_exits_2(self, tmp_path, capsys):
+        code = run(tmp_path, "classify", "-k", "-1", "--grid", "--resolution", "-1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: resolution must be >= 2\n"
+
+    @pytest.mark.parametrize("resolution", [7, 201])
+    def test_grid_csv_matches_the_per_value_rule(self, tmp_path, resolution):
+        # 7 points per axis put grid values on the parabola and at (0, 0)
+        assert run(
+            tmp_path, "classify", "-k", "-1", "-n", "3", "--grid",
+            "--resolution", str(resolution),
+        ) == 0
+        table = BookTable(k=-1.0, sheets=3)
+        values = np.linspace(-1.5, 1.5, resolution)
+        rows = ["h,f,tag,pinches"]
+        for h in values:
+            for f in values:
+                fiber = classify_fiber(table, float(h), float(f))
+                pinches = fiber.pinches if fiber.pinches is not None else ""
+                rows.append(f"{io.fmt(h)},{io.fmt(f)},{fiber.tag.value},{pinches}")
+        assert (tmp_path / "classification.csv").read_text() == "\n".join(rows) + "\n"
+
 
 class TestEigen:
     def test_spectrum_report(self, tmp_path):
@@ -211,6 +237,18 @@ class TestMonodromy:
         assert columns["arc_index"][0] == 0
         span = columns["theta_unwrapped"][-1] - columns["theta_unwrapped"][0]
         assert span == pytest.approx(3 * 2 * math.pi, abs=1e-9)
+
+    def test_coarse_loop_measures_the_sheet_count(self, tmp_path):
+        assert run(tmp_path, "monodromy", "-k", "-1", "-n", "3", "--points-per-arc", "2") == 0
+        assert io.read_json(tmp_path / "monodromy.json")["m"] == 3
+
+    def test_bisection_through_the_singular_value_exits_3(self, tmp_path, capsys):
+        code = run(
+            tmp_path, "monodromy", "-k", "-1", "--c", "0.5", "--f-max", "1.5",
+            "--points-per-arc", "3",
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("convergence failure: ")
 
 
 class TestPlot:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from billiardbook import (
+    FIBER_TAGS,
     BookTable,
     FiberTag,
     PhaseState,
@@ -13,6 +14,7 @@ from billiardbook import (
     annulus,
     bifurcation_diagram,
     classify_fiber,
+    classify_grid,
     critical_point_residual,
     gradients,
     in_image,
@@ -21,6 +23,7 @@ from billiardbook import (
     simulate,
     segment_min_radius,
 )
+from billiardbook.momentum import SIGMA_TOL
 
 K = -1.0
 TABLE = BookTable(k=K, sheets=1)
@@ -133,6 +136,28 @@ class TestClassifyFiber:
     @given(h=st.floats(-1.5, 1.5), f=st.floats(-1.5, 1.5))
     def test_symmetric_in_f(self, h, f):
         assert classify_fiber(TABLE, h, f) == classify_fiber(TABLE, h, -f)
+
+
+class TestClassifyGrid:
+    def test_matches_classify_fiber_cell_by_cell(self):
+        # the 201^2 grid, then values within and just outside SIGMA_TOL of the
+        # parabola and of (0, 0)
+        table = BookTable(k=K, sheets=3)
+        values = np.linspace(-1.5, 1.5, 201)
+        grid = classify_grid(table, values[:, None], values)
+        h, f = (v.ravel().tolist() for v in np.meshgrid(values, values, indexing="ij"))
+        offsets = [s * SIGMA_TOL for s in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+        for dh in offsets:
+            for fv in (-1.2, -0.3, 0.0, 1e-10, 0.7):
+                h.append((fv * fv + K) / 2.0 + dh)
+                f.append(fv)
+            h += [dh] * len(offsets)
+            f += offsets
+        codes = classify_grid(table, np.array(h), np.array(f))
+        tags = [FIBER_TAGS[c] for c in codes.tolist()]
+        assert tags == [classify_fiber(table, hv, fv).tag for hv, fv in zip(h, f)]
+        assert set(tags) == set(FiberTag)
+        assert grid.ravel().tolist() == codes[: values.size**2].tolist()
 
 
 class TestBifurcationDiagram:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from billiardbook import (
     BookTable,
+    ConvergenceError,
     FiberTag,
     ValidationError,
     boundary_state,
@@ -19,6 +20,7 @@ from billiardbook import (
     radial_period_simulated,
     simulate,
 )
+from billiardbook.monodromy import _period_columns
 
 K = -1.0
 KS = (-0.25, -1.0, -4.0)
@@ -49,6 +51,23 @@ def diameter_period(k, h):
     """Wall-to-wall time through the center: 2 asinh(w / sqrt(2h)) / w."""
     w = math.sqrt(-k)
     return 2.0 * math.asinh(w / math.sqrt(2.0 * h)) / w
+
+
+def per_sample_continuation(table, loop):
+    """theta_unwrapped from the scalar closed form, one waypoint at a time.
+
+    The reference for continue_theta's array pass: each sample's theta is
+    moved by the whole turns that bring it nearest its predecessor. Valid
+    while every theta step stays below pi/2, which it asserts.
+    """
+    thetas = []
+    for h, f in loop + [loop[0]]:
+        theta = radial_period_quadrature(table, h, f).theta
+        if thetas:
+            theta += 2.0 * math.pi * round((thetas[-1] - theta) / (2.0 * math.pi))
+            assert abs(theta - thetas[-1]) < math.pi / 2.0
+        thetas.append(theta)
+    return np.array(thetas)
 
 
 def circle_loop(center, radius, count=48):
@@ -99,6 +118,34 @@ class TestRadialPeriodQuadrature:
             radial_period_quadrature(table, 0.0, 0.0)
         with pytest.raises(ValidationError):
             radial_period_quadrature(table, -0.5, 0.0)
+
+
+class TestPeriodColumns:
+    def test_match_scalar_closed_form(self):
+        # random regular values, the f = 0, h > 0 waypoint, f -> 0+- with
+        # h > 0, and values near the parabola
+        rng = np.random.default_rng(43)
+        for k in KS:
+            table = BookTable(k=k, sheets=3)
+            values = []
+            for _ in range(300):
+                f = rng.uniform(-1.5, 1.5)
+                values.append(((f * f + k) / 2.0 + rng.uniform(1e-3, 2.0), f))
+            for h in (0.05, 0.5, 1.5):
+                values.append((h, 0.0))
+                values += [(h, s * 10.0**e) for s in (-1.0, 1.0) for e in (-14.0, -10.0, -6.0)]
+            for f in (-1.2, -0.4, 0.0, 0.3, 1.1):
+                values += [((f * f + k) / 2.0 + 10.0**e, f) for e in (-8.0, -6.0, -3.0)]
+            values = [
+                (h, f) for h, f in values
+                if classify_fiber(table, h, f).tag is FiberTag.REGULAR_TORUS
+            ]
+            t_r, dphi = _period_columns(k, *np.array(values).T)
+            for (h, f), got_t, got_phi in zip(values, t_r.tolist(), dphi.tolist()):
+                sample = radial_period_quadrature(table, h, f)
+                assert abs(got_t - sample.T_r) <= 1e-14 and abs(got_phi - sample.dphi) <= 1e-14
+                if f == 0.0:
+                    assert got_phi == (math.pi if h > 0.0 else 0.0)
 
 
 class TestRadialPeriodSimulated:
@@ -203,6 +250,7 @@ class TestLoopAroundOrigin:
         table = BookTable(k=K, sheets=3)
         for h, f in loop_around_origin(table, c=0.5, f_max=0.8):
             assert classify_fiber(table, h, f).tag is FiberTag.REGULAR_TORUS
+            assert type(h) is float and type(f) is float
 
     def test_winding_number_is_one(self):
         # counterclockwise in the (f, h) plane
@@ -247,11 +295,73 @@ class TestContinueTheta:
         assert report.labels is None
 
     def test_unwrap_margin(self):
+        # the largest dphi step, theta's over n, against pi/2
         table = BookTable(k=K, sheets=3)
         report = continue_theta(table, loop_around_origin(table))
-        largest = np.abs(np.diff(report.theta_unwrapped)).max()
+        largest = np.abs(np.diff(report.theta_unwrapped)).max() / 3
         assert 0.0 < report.unwrap_margin < 1.0
         assert report.unwrap_margin == pytest.approx(largest / (math.pi / 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_default_loops_match_per_sample_continuation(self, n):
+        table = BookTable(k=K, sheets=n)
+        for points_per_arc in (64, 65, 128, 256):
+            loop = loop_around_origin(table, points_per_arc=points_per_arc)
+            report = continue_theta(table, loop)
+            reference = per_sample_continuation(table, loop)
+            assert [(s.h, s.f) for s in report.samples] == loop + [loop[0]]
+            assert np.abs(np.array(report.theta_unwrapped) - reference).max() <= 1e-12
+            assert report.m == round((reference[-1] - reference[0]) / (2.0 * math.pi)) == n
+
+    def test_bisection_keeps_loop_order(self):
+        table = BookTable(k=K, sheets=5)
+        loop = loop_around_origin(table, c=0.5, f_max=0.55, points_per_arc=4)
+        report = continue_theta(table, loop)
+        assert report.m == 5
+        assert len(report.samples) > len(loop) + 1
+        assert len(report.theta_unwrapped) == len(report.samples)
+        # every sample is the next waypoint or lies on the current edge,
+        # further along it than the sample before
+        closed = loop + [loop[0]]
+        edge, along = 0, 0.0
+        assert (report.samples[0].h, report.samples[0].f) == closed[0]
+        for s in report.samples[1:]:
+            (h0, f0), (h1, f1) = closed[edge], closed[edge + 1]
+            if (s.h, s.f) == (h1, f1):
+                edge, along = edge + 1, 0.0
+                continue
+            t = ((s.h - h0) * (h1 - h0) + (s.f - f0) * (f1 - f0)) / ((h1 - h0) ** 2 + (f1 - f0) ** 2)
+            assert along < t < 1.0
+            assert (s.h, s.f) == pytest.approx((h0 + t * (h1 - h0), f0 + t * (f1 - f0)), abs=1e-15)
+            along = t
+        assert edge == len(loop)
+        assert report.unwrap_margin < 1.0
+
+    def test_coarse_loops_give_m_or_fail_loudly(self):
+        # unwrapping theta = n * dphi aliased steps near 2*pi on coarse loops
+        # into a wrong m; unwrapping dphi must give m == n or raise
+        for k in (-1.0, -4.0):
+            for n in (1, 2, 3, 4, 5):
+                table = BookTable(k=k, sheets=n)
+                for c in (0.3, 0.5, 0.7):
+                    for ratio in (1.1, 1.6, 3.0):
+                        for points_per_arc in range(2, 9):
+                            loop = loop_around_origin(
+                                table, c=c, f_max=ratio * c * math.sqrt(-k),
+                                points_per_arc=points_per_arc,
+                            )
+                            try:
+                                assert continue_theta(table, loop).m == n
+                            except ConvergenceError:
+                                pass
+
+    def test_bisection_through_the_singular_value_raises(self):
+        # at f_max = 3 c sqrt(-k) with 3 points per arc, the chord between the
+        # middle arc waypoints has its midpoint at (0, 0)
+        table = BookTable(k=K, sheets=2)
+        loop = loop_around_origin(table, c=0.5, f_max=1.5, points_per_arc=3)
+        with pytest.raises(ConvergenceError):
+            continue_theta(table, loop)
 
     def test_start_point_invariance(self):
         table = BookTable(k=K, sheets=2)
