@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -20,16 +21,7 @@ from . import io
 from .dynamics import simulate
 from .linearization import pencil_eigenvalues
 from .model import BookTable, ConvergenceError, PhaseState, ValidationError
-from .momentum import (
-    FIBER_TAGS,
-    FiberTag,
-    bifurcation_diagram,
-    classify_fiber,
-    classify_grid,
-    in_image,
-    inner_radius,
-    momentum_map,
-)
+from .momentum import bifurcation_diagram, classify_fiber, in_image, inner_radius, momentum_map
 from .monodromy import (
     continue_theta,
     loop_around_origin,
@@ -164,6 +156,16 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _report(cfg: _Config, doc: dict, path: Path | None = None) -> None:
+    """Emit a JSON report with the resolved config: to path (then print it), or to stdout."""
+    doc["config"] = cfg.resolved
+    if path is None:
+        sys.stdout.write(io.json_text(doc))
+    else:
+        io.write_json(path, doc)
+        print(path)
+
+
 def _table(cfg: _Config) -> BookTable:
     k = cfg.get("k", -1.0)
     n = cfg.get("sheets", 1)
@@ -232,23 +234,8 @@ def _cmd_classify(args, cfg: _Config, out: Path) -> int:
             raise ValidationError("resolution must be >= 2")
         h = np.linspace(cfg.get("h-min", -1.5), cfg.get("h-max", 1.5), resolution)
         f = np.linspace(cfg.get("f-min", -1.5), cfg.get("f-max", 1.5), resolution)
-        # "tag,pinches" of each FIBER_TAGS index; only a pinched torus counts pinches
-        labels = np.array([
-            f"{tag.value},{table.sheets if tag is FiberTag.PINCHED_TORUS else ''}"
-            for tag in FIBER_TAGS
-        ], dtype=object)
-        rows = np.empty((f.size, 3), dtype=object)
-        rows[:, 1] = f
-        line = "%.17g,%.17g,%s\n" * f.size
-        path = out / "classification.csv"
-        with open(path, "w") as fh:
-            fh.write("h,f,tag,pinches\n")
-            # one row of the grid, all f at one h, per write
-            for hv, codes in zip(h, classify_grid(table, h[:, None], f)):
-                rows[:, 0] = hv
-                rows[:, 2] = labels[codes]
-                fh.write(line % tuple(rows.ravel().tolist()))
-        print(path)
+        io.write_classification_csv(out / "classification.csv", table, h, f)
+        print(out / "classification.csv")
         return 0
     h, f = cfg.get("h"), cfg.get("f")
     if h is None or f is None:
@@ -260,20 +247,15 @@ def _cmd_classify(args, cfg: _Config, out: Path) -> int:
         "tag": fiber.tag.value,
         "pinches": fiber.pinches,
         "contains_focus_focus": fiber.contains_focus_focus,
-        "config": cfg.resolved,
     }
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    print()
+    _report(cfg, doc)
     return 0
 
 
 def _cmd_eigen(args, cfg: _Config, out: Path) -> int:
     k = cfg.get("k", -1.0)
     spectrum = pencil_eigenvalues(k, cfg.get("lam", 1.0), cfg.get("mu", 1.0))
-    doc = io.spectrum_report_dict(k, spectrum)
-    doc["config"] = cfg.resolved
-    io.write_json(out / "spectrum.json", doc)
-    print(out / "spectrum.json")
+    _report(cfg, io.spectrum_report_dict(k, spectrum), out / "spectrum.json")
     return 0
 
 
@@ -287,14 +269,12 @@ def _cmd_rotation(args, cfg: _Config, out: Path) -> int:
         "T_r": sample.T_r,
         "dphi": sample.dphi,
         "theta": sample.theta,
-        "config": cfg.resolved,
     }
     if cfg.get("compare-sim", False):
         sim = radial_period_simulated(table, h, f)
         doc["T_r_sim"] = sim.T_r
         doc["dphi_sim"] = sim.dphi
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    print()
+    _report(cfg, doc)
     return 0
 
 
@@ -307,9 +287,8 @@ def _cmd_monodromy(args, cfg: _Config, out: Path) -> int:
         points_per_arc=cfg.get("points-per-arc", 64),
     )
     report = continue_theta(table, loop)
-    io.write_json(out / "monodromy.json", io.monodromy_report_dict(report, cfg.resolved))
+    _report(cfg, io.monodromy_report_dict(report), out / "monodromy.json")
     io.write_continuation_csv(out / "continuation.csv", report)
-    print(out / "monodromy.json")
     print(out / "continuation.csv")
     return 0
 
@@ -342,9 +321,23 @@ _COMMANDS = {
 }
 
 
+def _as_value(token: str) -> str:
+    """token with a leading space, which float() and int() ignore, if it is a negative
+    number that argparse would take for an option: any but a plain decimal (-1, -0.5).
+    No option of this CLI looks like a number, so -1e-12 is always a value.
+    """
+    if not re.match(r"-[\d.]", token) or re.fullmatch(r"-\d+|-\d*\.\d+", token):
+        return token
+    try:
+        float(token)
+    except ValueError:
+        return token
+    return " " + token
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args([_as_value(a) for a in (sys.argv[1:] if argv is None else argv)])
     try:
         cfg = _Config(args, commands[args.command])
         out = _out_dir(args)

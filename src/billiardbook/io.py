@@ -1,19 +1,17 @@
 """CSV, JSON, and SVG serialization of simulation and analysis results.
 
-Numeric CSV columns are written with 17 significant digits so conservation
-properties remain auditable downstream; every writer has a matching reader so
-emitted files round-trip through the package itself, and the CSV readers
-return numpy columns by name. SVG output is built by hand from a fixed
-template, which keeps it byte-deterministic and diff-able.
+Each output format is written here and only here, one way: CSV rows by
+_write_rows(), with 17 significant digits so conservation stays auditable;
+JSON reports by json_text(); SVG polylines by _polyline(), in a fixed
+template that keeps figures byte-deterministic. The trajectory, diagram and
+continuation CSVs (as numpy columns by name) and the JSON reports read back;
+classification.csv, whose tag column is text, and the SVG figures do not.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +19,18 @@ import numpy as np
 from .dynamics import Trajectory, _sample_trajectory
 from .linearization import PencilSpectrum
 from .model import BookTable
-from .momentum import BifurcationDiagram
+from .momentum import FIBER_TAGS, BifurcationDiagram, FiberTag, classify_grid
 from .monodromy import MonodromyReport
 
 
 def fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _write_rows(fh, line: str, rows) -> None:
+    """Write ``line % row`` for every row of a 2-D array, in one write."""
+    rows = np.asarray(rows)
+    fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 #: columns the CSV readers return as ints; every other column is a float
@@ -70,8 +74,9 @@ def write_trajectory_csv(
 ) -> None:
     """Rows sample each segment at equal time steps, endpoints included.
 
-    The rows are those csv.writer would write: ``\\r\\n`` line ends and fmt()
-    numbers. h and f use momentum_map()'s formulas on the whole chunk.
+    A ``#`` line with k and n precedes the header. Rows are segment and sheet
+    as ints, then t, x, y, vx, vy, h and f to 17 digits, ending in ``\\r\\n``;
+    h and f use momentum_map()'s formulas on the whole chunk.
     """
     k, count = table.k, samples_per_segment
     line = "%d,%d" + ",%.17g" * 7 + "\r\n"
@@ -91,7 +96,7 @@ def write_trajectory_csv(
             rows[..., 3:7] = states
             rows[..., 7] = 0.5 * (vx * vx + vy * vy) + 0.5 * k * (x * x + y * y)
             rows[..., 8] = x * vy - y * vx
-            fh.write((line * tau.size) % tuple(rows.ravel().tolist()))
+            _write_rows(fh, line, rows.reshape(-1, 9))
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -107,18 +112,41 @@ DIAGRAM_COLUMNS = ["f", "h_parabola", "singular_point"]
 
 def write_diagram_csv(path: str | Path, diagram: BifurcationDiagram) -> None:
     """Parabola samples plus the isolated point (0, 0) as a flagged row."""
+    h0, f0 = diagram.isolated_point
+    rows = np.column_stack((diagram.f, diagram.h, np.zeros(diagram.f.size)))
+    rows = np.vstack((rows, (f0, h0, 1)))
     with open(path, "w", newline="") as fh:
         fh.write(f"# billiardbook diagram k={fmt(diagram.k)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(DIAGRAM_COLUMNS)
-        for f, h in zip(diagram.f, diagram.h):
-            writer.writerow([fmt(f), fmt(h), 0])
-        writer.writerow([fmt(diagram.isolated_point[1]), fmt(diagram.isolated_point[0]), 1])
+        fh.write(",".join(DIAGRAM_COLUMNS) + "\r\n")
+        _write_rows(fh, "%.17g,%.17g,%d\r\n", rows)
 
 
 def read_diagram_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (header metadata k, numpy columns by name)."""
     return _read_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# fiber classification CSV (no reader: the tag column is text)
+
+
+def write_classification_csv(
+    path: str | Path, table: BookTable, h: np.ndarray, f: np.ndarray
+) -> None:
+    """Rows h, f, tag, pinches for every grid value, all f at the first h first.
+
+    Only a pinched torus fills pinches (with the sheet count); ``\\n`` line ends.
+    """
+    labels = np.array([  # "tag,pinches" of each FIBER_TAGS index
+        f"{tag.value},{table.sheets if tag is FiberTag.PINCHED_TORUS else ''}" for tag in FIBER_TAGS
+    ], dtype=object)
+    codes = classify_grid(table, h[:, None], f)
+    # each h and f becomes a Python float once, not once per grid cell
+    h, f = np.broadcast_arrays(h.astype(object)[:, None], f.astype(object))
+    rows = np.column_stack((h.ravel(), f.ravel(), labels[codes].ravel()))
+    with open(path, "w") as fh:
+        fh.write("h,f,tag,pinches\n")
+        _write_rows(fh, "%.17g,%.17g,%s\n", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +156,12 @@ CONTINUATION_COLUMNS = ["arc_index", "h", "f", "T_r", "dphi", "theta_unwrapped"]
 
 
 def write_continuation_csv(path: str | Path, report: MonodromyReport) -> None:
+    """One row per continuation sample: its index, then 17-digit floats."""
+    samples = [(s.h, s.f, s.T_r, s.dphi) for s in report.samples]
+    rows = np.column_stack((np.arange(len(samples)), samples, report.theta_unwrapped))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CONTINUATION_COLUMNS)
-        for i, (sample, theta) in enumerate(zip(report.samples, report.theta_unwrapped)):
-            writer.writerow(
-                [i] + [fmt(v) for v in (sample.h, sample.f, sample.T_r, sample.dphi, theta)]
-            )
+        fh.write(",".join(CONTINUATION_COLUMNS) + "\r\n")
+        _write_rows(fh, "%d" + ",%.17g" * 5 + "\r\n", rows)
 
 
 def read_continuation_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -142,38 +169,22 @@ def read_continuation_csv(path: str | Path) -> dict[str, np.ndarray]:
     return _read_csv(path)[1]
 
 
-def _fraction_str(r: Fraction | float) -> str:
-    if isinstance(r, float) and math.isinf(r):
-        return "inf"
-    return str(r)
-
-
-def monodromy_report_dict(report: MonodromyReport, provenance: dict | None = None) -> dict:
-    doc = {
+def monodromy_report_dict(report: MonodromyReport) -> dict:
+    gluing, labels = report.gluing_matrix_hpos, report.labels
+    return {
         "m": report.m,
         "delta_theta": report.delta_theta,
         "unwrap_margin": report.unwrap_margin,
         "monodromy_matrix": [list(row) for row in report.monodromy_matrix],
-        "gluing_matrix_hpos": (
-            [list(row) for row in report.gluing_matrix_hpos]
-            if report.gluing_matrix_hpos is not None
-            else None
-        ),
-        "labels": (
-            {
-                "r_hneg": "inf",
-                "r_hpos": _fraction_str(report.labels.r_hpos),
-                "epsilon": report.labels.epsilon,
-                "derived_from_m": report.labels.derived_from_m,
-            }
-            if report.labels is not None
-            else None
-        ),
+        "gluing_matrix_hpos": None if gluing is None else [list(row) for row in gluing],
+        "labels": None if labels is None else {
+            "r_hneg": "inf",
+            "r_hpos": str(labels.r_hpos),
+            "epsilon": labels.epsilon,
+            "derived_from_m": labels.derived_from_m,
+        },
         "loop": [[h, f] for h, f in report.loop],
     }
-    if provenance is not None:
-        doc["config"] = provenance
-    return doc
 
 
 def spectrum_report_dict(k: float, spectrum: PencilSpectrum) -> dict:
@@ -186,10 +197,13 @@ def spectrum_report_dict(k: float, spectrum: PencilSpectrum) -> dict:
     }
 
 
+def json_text(doc: dict) -> str:
+    """A JSON report as written to its file or to stdout: sorted keys, indent 2."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path: str | Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json_text(doc))
 
 
 def read_json(path: str | Path) -> dict:
@@ -204,6 +218,14 @@ _SVG_SIZE = 560
 #: samples per segment along each orbit polyline of write_orbit_svg()
 _ORBIT_SAMPLES = 48
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+
+
+def _polyline(xy, color: str, width: float) -> str:
+    """An SVG polyline through (x, y) points, y flipped, with 6 decimals."""
+    xy = np.asarray(xy, dtype=float)
+    flipped = np.column_stack((xy[:, 0], -xy[:, 1])).ravel().tolist()
+    pts = " ".join(["%.6f,%.6f"] * len(xy)) % tuple(flipped)
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width:g}"/>'
 
 
 def _svg_open(x0: float, y0: float, width: float, height: float) -> list[str]:
@@ -252,13 +274,7 @@ def write_polylines_svg(
         per_sheet.setdefault(sheet, []).append(points)
     for sheet in sorted(per_sheet):
         color = _PALETTE[(sheet - 1) % len(_PALETTE)]
-        for points in per_sheet[sheet]:
-            xy = np.asarray(points, dtype=float)
-            flipped = np.column_stack((xy[:, 0], -xy[:, 1])).ravel().tolist()
-            pts = " ".join(["%.6f,%.6f"] * len(xy)) % tuple(flipped)
-            lines.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="0.006"/>'
-            )
+        lines += [_polyline(points, color, 0.006) for points in per_sheet[sheet]]
     lines.append("</svg>")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -270,10 +286,7 @@ def write_diagram_svg(path: str | Path, diagram: BifurcationDiagram) -> None:
     pad_f = 0.1 * (f_hi - f_lo)
     pad_h = 0.1 * (h_hi - h_lo)
     lines = _svg_open(f_lo - pad_f, -h_hi - pad_h, (f_hi - f_lo) + 2 * pad_f, (h_hi - h_lo) + 2 * pad_h)
-    pts = " ".join(f"{f:.6f},{-h:.6f}" for f, h in zip(diagram.f, diagram.h))
-    lines.append(
-        f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="0.01"/>'
-    )
+    lines.append(_polyline(np.column_stack((diagram.f, diagram.h)), "#1f77b4", 0.01))
     h0, f0 = diagram.isolated_point
     lines.append(f'<circle cx="{f0:g}" cy="{-h0:g}" r="0.02" fill="#d62728"/>')
     lines.append("</svg>")

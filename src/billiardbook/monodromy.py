@@ -36,6 +36,9 @@ from .momentum import FIBER_TAGS, FiberTag, classify_fiber, classify_grid, inner
 UNWRAP_STEP = math.pi / 2
 #: maximum waypoint-bisection depth before giving up
 MAX_REFINE_DEPTH = 48
+#: theta_center_limit's largest f, halved CENTER_LEVELS - 1 times
+CENTER_F_START = 0.4
+CENTER_LEVELS = 7
 
 
 @dataclass(frozen=True)
@@ -118,14 +121,14 @@ def _period_columns(k: float, h: np.ndarray, f: np.ndarray) -> tuple[np.ndarray,
     return t_r, dphi
 
 
-def _require_regular(table: BookTable, h: np.ndarray, f: np.ndarray) -> None:
-    """Raise ValidationError at the first loop waypoint that is not a regular value."""
+def _require_regular(table: BookTable, h, f, what="loop waypoint", error=ValidationError) -> None:
+    """Raise error, naming what, at the first value (h, f) that is not a regular value."""
     codes = classify_grid(table, h, f)
     bad = np.flatnonzero(codes != FIBER_TAGS.index(FiberTag.REGULAR_TORUS))
     if bad.size:
         i = bad[0]
-        raise ValidationError(
-            f"loop waypoint ({h[i]}, {f[i]}) is not a regular value "
+        raise error(
+            f"{what} ({h[i]}, {f[i]}) is not a regular value "
             f"(fiber: {FIBER_TAGS[codes[i]].value})"
         )
 
@@ -208,16 +211,6 @@ def _unwrap(dphi: np.ndarray) -> np.ndarray:
     return dphi - 2.0 * math.pi * np.concatenate(([0.0], turns))
 
 
-def _midpoint(table: BookTable, h: np.ndarray, f: np.ndarray, i: int) -> tuple[float, ...]:
-    """(h, f, T_r, dphi) halfway between waypoints i and i + 1, from the scalar form."""
-    mid = (float(h[i] + h[i + 1]) / 2.0, float(f[i] + f[i + 1]) / 2.0)
-    try:
-        s = radial_period_quadrature(table, *mid)
-    except ValidationError as exc:
-        raise ConvergenceError(f"bisection met a singular value: {exc}") from None
-    return s.h, s.f, s.T_r, s.dphi
-
-
 def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> MonodromyReport:
     """Continue the unwrapped theta along the closed loop and read off m.
 
@@ -225,10 +218,11 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
     by 2*pi, across the cut f = 0, h > 0, so dphi (not theta = n * dphi,
     whose steps alias once they near 2*pi) is unwrapped, each step taken
     nearest to zero, and theta_unwrapped = n * dphi_unwrapped. Waypoint gaps
-    whose unwrapped dphi step is still >= pi/2 are bisected, with the scalar
-    closed form at each midpoint, until every step is below pi/2. After a full
-    turn theta gains 2*pi*m. The report's unwrap_margin is the largest dphi
-    step over pi/2.
+    whose unwrapped dphi step is still >= pi/2 are bisected, each round's
+    midpoints in one array pass, until every step is below pi/2; a midpoint
+    that is not a regular value raises ConvergenceError. After a full turn
+    theta gains 2*pi*m. The report's unwrap_margin is the largest dphi step
+    over pi/2.
     """
     if len(loop) < 3:
         raise ValidationError("loop needs at least 3 waypoints")
@@ -250,7 +244,9 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
                 f"dphi unwrapping did not stabilize between ({h[i]}, {f[i]}) "
                 f"and ({h[i + 1]}, {f[i + 1]})"
             )
-        mids = zip(*(_midpoint(table, h, f, i) for i in gaps.tolist()))
+        mid_h, mid_f = (h[gaps] + h[gaps + 1]) / 2.0, (f[gaps] + f[gaps + 1]) / 2.0
+        _require_regular(table, mid_h, mid_f, "bisection midpoint", ConvergenceError)
+        mids = (mid_h, mid_f, *_period_columns(table.k, mid_h, mid_f))
         h, f, t_r, dphi = (np.insert(v, gaps + 1, new) for v, new in zip((h, f, t_r, dphi), mids))
 
     n = table.sheets
@@ -281,7 +277,6 @@ def molecule_labels(
     table: BookTable,
     h_sign: int,
     report: MonodromyReport | None = None,
-    **loop_kwargs,
 ) -> MoleculeLabels:
     """Molecule labels for the isoenergy slice of the given sign of h.
 
@@ -292,26 +287,23 @@ def molecule_labels(
     if h_sign == 0:
         raise ValidationError("h_sign must be negative or positive")
     if report is None:
-        loop = loop_around_origin(table, **loop_kwargs)
-        report = continue_theta(table, loop)
+        report = continue_theta(table, loop_around_origin(table))
     if report.labels is None:
         raise ValidationError("report's loop does not enclose the singular value")
     return report.labels
 
 
-def theta_center_limit(
-    table: BookTable, h: float, f_start: float = 0.4, levels: int = 7
-) -> float:
-    """Extrapolated theta(h, f -> 0+) via Richardson over f = f_start * 2^-j.
+def theta_center_limit(table: BookTable, h: float) -> float:
+    """Extrapolated theta(h, f -> 0+) via Richardson over f = CENTER_F_START * 2^-j.
 
     Cross-checks the center-passage convention: the limit is n * pi.
     """
     thetas = [
-        radial_period_quadrature(table, h, f_start * 0.5**j).theta
-        for j in range(levels)
+        radial_period_quadrature(table, h, CENTER_F_START * 0.5**j).theta
+        for j in range(CENTER_LEVELS)
     ]
     table_r = [thetas]
-    for j in range(1, levels):
+    for j in range(1, CENTER_LEVELS):
         prev = table_r[-1]
         fac = 2.0**j
         table_r.append(

@@ -131,6 +131,17 @@ class TestSimulate:
         ) == 0
         assert "dphi_sim" in json.loads(capsys.readouterr().out)
 
+    def test_negative_value_in_scientific_notation(self, tmp_path, capsys):
+        code = run(
+            tmp_path, "simulate", "-k", "-1", "--initial", "1", "0", "-1e-12", "0.3",
+            "--reflections", "2",
+        )
+        assert code == 0
+        # a start on the wall moving inward at 1e-12 grazes at once
+        assert capsys.readouterr().err == "stopped early: grazing; reflections made: 0\n"
+        _, columns = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+        assert columns["vx"][0] == pytest.approx(-1e-12, rel=1e-3)
+
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BILLIARDBOOK_OUT", str(tmp_path / "envout"))
         code = main(["simulate", "-k", "-1", "--seed", "3", "--reflections", "2"])
@@ -202,6 +213,11 @@ class TestEigen:
         assert sorted(map(tuple, doc["eigenvalues"])) == [
             (-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0),
         ]
+
+    def test_k_in_scientific_notation(self, tmp_path):
+        assert run(tmp_path, "eigen", "-k", "-1e0") == 0
+        doc = io.read_json(tmp_path / "spectrum.json")
+        assert doc["k"] == doc["config"]["k"] == -1.0
 
     def test_positive_k_rejected(self, tmp_path):
         assert run(tmp_path, "eigen", "-k", "1") == 2
@@ -288,6 +304,25 @@ class TestPlot:
         points = re.findall(r'<polyline points="([^"]*)"', (tmp_path / "orbit.svg").read_text())
         radii = [math.hypot(*map(float, p.split(","))) for line in points for p in line.split()]
         assert radii and max(radii) <= 1.0 + 1e-5
+
+
+@pytest.mark.parametrize(
+    "argv,path",
+    [
+        (["classify", "-k", "-1", "-n", "3", "--h", "0", "--f", "0"], None),
+        (["eigen", "--lam", "1.5", "--mu", "0.7"], "spectrum.json"),
+        (["rotation", "--h", "0.375", "--f", "0.5", "--compare-sim"], None),
+        (["monodromy", "-n", "2"], "monodromy.json"),
+    ],
+    ids=["classify", "eigen", "rotation", "monodromy"],
+)
+def test_json_reports_carry_the_config_in_one_form(tmp_path, capsys, argv, path):
+    assert run(tmp_path, *argv) == 0
+    out = capsys.readouterr().out
+    text = out if path is None else (tmp_path / path).read_text()
+    doc = json.loads(text)
+    assert doc["config"]["k"] == -1.0
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_import_does_not_load_scipy():

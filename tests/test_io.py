@@ -1,5 +1,6 @@
-"""Trajectory writers against per-row sampling of each segment."""
+"""Writers against per-row sampling of each segment and against csv.writer."""
 
+import csv
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -128,3 +129,43 @@ def test_readers_return_the_written_columns(tmp_path, kind):
         assert columns[name].tolist() == [parse(v) for v in values]
     # a header-only file gives empty columns of the same dtypes
     assert all(len(column) == 0 for column in columns.values()) == (kind == "empty-trajectory")
+
+
+def reference_diagram_csv(path, diagram):
+    """write_diagram_csv as it was written with csv.writer, row by row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# billiardbook diagram k={io.fmt(diagram.k)}\n")
+        writer = csv.writer(fh)
+        writer.writerow(io.DIAGRAM_COLUMNS)
+        for f, h in zip(diagram.f, diagram.h):
+            writer.writerow([io.fmt(f), io.fmt(h), 0])
+        writer.writerow([io.fmt(diagram.isolated_point[1]), io.fmt(diagram.isolated_point[0]), 1])
+
+
+def reference_continuation_csv(path, report):
+    """write_continuation_csv as it was written with csv.writer, row by row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(io.CONTINUATION_COLUMNS)
+        for i, (sample, theta) in enumerate(zip(report.samples, report.theta_unwrapped)):
+            writer.writerow(
+                [i] + [io.fmt(v) for v in (sample.h, sample.f, sample.T_r, sample.dphi, theta)]
+            )
+
+
+@pytest.mark.parametrize("resolution", [21, 201])
+def test_diagram_csv_bytes_match_the_csv_writer_form(tmp_path, resolution):
+    diagram = bifurcation_diagram(-4.0, resolution=resolution)
+    io.write_diagram_csv(tmp_path / "got.csv", diagram)
+    reference_diagram_csv(tmp_path / "ref.csv", diagram)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_continuation_csv_bytes_match_the_csv_writer_form(tmp_path):
+    table = BookTable(k=-1.0, sheets=5)
+    loop = loop_around_origin(table, c=0.5, f_max=0.55, points_per_arc=4)
+    report = continue_theta(table, loop)
+    assert len(report.samples) > len(loop) + 1  # the loop is bisected
+    io.write_continuation_csv(tmp_path / "got.csv", report)
+    reference_continuation_csv(tmp_path / "ref.csv", report)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

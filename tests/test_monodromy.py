@@ -20,7 +20,7 @@ from billiardbook import (
     radial_period_simulated,
     simulate,
 )
-from billiardbook.monodromy import _period_columns
+from billiardbook.monodromy import _period_columns, theta_center_limit
 
 K = -1.0
 KS = (-0.25, -1.0, -4.0)
@@ -363,6 +363,12 @@ class TestContinueTheta:
         with pytest.raises(ConvergenceError):
             continue_theta(table, loop)
 
+    def test_singular_midpoint_is_named(self):
+        table = BookTable(k=K, sheets=2)
+        loop = loop_around_origin(table, c=0.5, f_max=1.5, points_per_arc=3)
+        with pytest.raises(ConvergenceError, match=r"^bisection midpoint \(0\.0, 0\.0\) is not"):
+            continue_theta(table, loop)
+
     def test_start_point_invariance(self):
         table = BookTable(k=K, sheets=2)
         loop = loop_around_origin(table)
@@ -406,3 +412,18 @@ class TestMoleculeLabels:
         report = continue_theta(table, loop_around_origin(table))
         alpha, beta = report.gluing_matrix_hpos[0]
         assert Fraction(alpha, beta) % 1 == report.labels.r_hpos
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_theta_center_limit_is_the_richardson_value(n):
+    # acceptance criterion 9's inline extrapolation, at h = 0.5
+    table = BookTable(k=K, sheets=n)
+    rows = [[radial_period_quadrature(table, 0.5, 0.4 * 0.5**j).theta for j in range(7)]]
+    for j in range(1, 7):
+        fac = 2.0**j
+        rows.append(
+            [(fac * rows[-1][i + 1] - rows[-1][i]) / (fac - 1.0) for i in range(len(rows[-1]) - 1)]
+        )
+    limit = theta_center_limit(table, 0.5)
+    assert limit == rows[-1][0]
+    assert abs(limit - n * math.pi) < 0.01
