@@ -32,6 +32,17 @@ from .monodromy import (
 OUT_DIR_ENV = "BILLIARDBOOK_OUT"
 
 
+def _finite(token: str) -> float:
+    """The float type of every float option: NaN and +-inf are bad input."""
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {token.strip()!r}")
+    return value
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser and, by command name, its subcommand parsers."""
     parser = argparse.ArgumentParser(
@@ -43,15 +54,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("-k", type=float, default=None, help="Hooke coefficient, negative")
+        p.add_argument("-k", type=_finite, default=None, help="Hooke coefficient, negative")
         p.add_argument("-n", "--sheets", type=int, default=None, help="number of sheets")
 
     p = sub.add_parser("simulate", help="propagate a trajectory, write CSV (and SVG)")
     common(p)
-    p.add_argument("--initial", type=float, nargs=4, metavar=("X", "Y", "VX", "VY"))
+    p.add_argument("--initial", type=_finite, nargs=4, metavar=("X", "Y", "VX", "VY"))
     p.add_argument("--sheet", type=int, default=None)
     p.add_argument("--reflections", type=int, default=None)
-    p.add_argument("--time", type=float, default=None)
+    p.add_argument("--time", type=_finite, default=None)
     p.add_argument("--seed", type=int, default=None, help="random initial state seed")
     p.add_argument("--samples-per-segment", type=int, default=None)
     # store-true flags default to None so that an unset flag defers to --config
@@ -61,37 +72,37 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("diagram", help="bifurcation diagram CSV (and SVG)")
     common(p)
-    p.add_argument("--f-min", type=float, default=None)
-    p.add_argument("--f-max", type=float, default=None)
+    p.add_argument("--f-min", type=_finite, default=None)
+    p.add_argument("--f-max", type=_finite, default=None)
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--svg", action="store_true", default=None)
 
     p = sub.add_parser("classify", help="classify fibers at a value or on a grid")
     common(p)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--f", type=float, default=None)
+    p.add_argument("--h", type=_finite, default=None)
+    p.add_argument("--f", type=_finite, default=None)
     p.add_argument("--grid", action="store_true", default=None)
-    p.add_argument("--h-min", type=float, default=None)
-    p.add_argument("--h-max", type=float, default=None)
-    p.add_argument("--f-min", type=float, default=None)
-    p.add_argument("--f-max", type=float, default=None)
+    p.add_argument("--h-min", type=_finite, default=None)
+    p.add_argument("--h-max", type=_finite, default=None)
+    p.add_argument("--f-min", type=_finite, default=None)
+    p.add_argument("--f-max", type=_finite, default=None)
     p.add_argument("--resolution", type=int, default=None)
 
     p = sub.add_parser("eigen", help="pencil spectrum JSON report")
     common(p)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--lam", type=_finite, default=None)
+    p.add_argument("--mu", type=_finite, default=None)
 
     p = sub.add_parser("rotation", help="radial period and angular advance at (h, f)")
     common(p)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--f", type=float, required=True)
+    p.add_argument("--h", type=_finite, required=True)
+    p.add_argument("--f", type=_finite, required=True)
     p.add_argument("--compare-sim", action="store_true", default=None)
 
     p = sub.add_parser("monodromy", help="continue theta along a loop, report m")
     common(p)
-    p.add_argument("--c", type=float, default=None, help="inner-radius loop parameter")
-    p.add_argument("--f-max", type=float, default=None)
+    p.add_argument("--c", type=_finite, default=None, help="inner-radius loop parameter")
+    p.add_argument("--f-max", type=_finite, default=None)
     p.add_argument("--points-per-arc", type=int, default=None)
 
     p = sub.add_parser("plot", help="orbit SVG from an existing trajectory CSV")
@@ -113,7 +124,9 @@ def _fits(kind, nargs, value) -> bool:
         )
     if isinstance(value, bool):
         return False
-    return isinstance(value, {float: (int, float), int: int}.get(kind, str))
+    if kind is _finite:  # json.loads reads NaN and Infinity as floats
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, int if kind is int else str)
 
 
 class _Config:

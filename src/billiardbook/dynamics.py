@@ -17,8 +17,8 @@ The flow and the wall are invariant under rotation, and (H, F) fixes a
 wall-to-wall arc up to rotation, so after the first wall hit every arc is the
 previous one turned by the same angle ``dphi`` and lasting the same ``T_r``.
 ``simulate`` solves two arcs and emits hit j as the first hit rotated by
-``j * dphi`` in one numpy pass: no hit is computed from the one before, so
-rounding error does not grow with the number of reflections.
+``j * dphi``, in blocks of ``_CHUNK`` hits: no hit is computed from the one
+before, so rounding error does not grow with the number of reflections.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .model import BookTable, PhaseState, ValidationError
 BOUNDARY_TOL = 1e-9
 #: |v . n| below this at a wall hit is treated as a tangential (grazing) hit
 GRAZING_TOL = 1e-12
-#: rows taken from the columns per numpy pass by _sample_trajectory() and by
-#: iteration over a Trajectory, which bounds the memory a long run needs there
+#: rows per numpy pass of _bounce_map(), of _sample_trajectory() and of
+#: iteration over a Trajectory, which bounds the temporaries a long run needs
 _CHUNK = 2048
 
 
@@ -262,11 +262,11 @@ def sample_segment(segment: TrajectorySegment, k: float, count: int) -> list[Pha
     return [flow_free(segment.start, segment.duration * i / count, k) for i in range(count + 1)]
 
 
-def _rotations(row, angles: np.ndarray) -> np.ndarray:
-    """Rows (x, y, vx, vy) of one state rotated by each angle, as _rotate()."""
+def _rotations(row, angles: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Columns x, y, vx, vy of one state rotated by each angle, as _rotate()."""
     x, y, vx, vy = row
     c, s = np.cos(angles), np.sin(angles)
-    return np.stack((c * x - s * y, s * x + c * y, c * vx - s * vy, s * vx + c * vy), axis=-1)
+    return c * x - s * y, s * x + c * y, c * vx - s * vy, s * vx + c * vy
 
 
 def _sample_trajectory(
@@ -278,7 +278,8 @@ def _sample_trajectory(
     time since segment i's start of its j-th of count+1 equally spaced
     samples and ``states[i, j]`` the state (x, y, vx, vy) there. The formulas
     and their order of operations are those of flow_free() and of the
-    boundary-orbit rotation, evaluated for all rows at once.
+    boundary-orbit rotation, evaluated for all rows at once; each segment's
+    first sample is its start state itself.
     """
     w = math.sqrt(-k)
     steps = np.arange(count + 1)
@@ -297,7 +298,10 @@ def _sample_trajectory(
             # on r = 1 the angular speed equals f = x*vy - y*vx
             x0, y0, vx0, vy0 = start[-1].tolist()
             f = x0 * vy0 - y0 * vx0
-            states[-1] = _rotations(start[-1], f * duration[-1, 0] * steps / count)
+            states[-1] = np.stack(_rotations(start[-1], f * duration[-1, 0] * steps / count), -1)
+        # the flow at tau = 0 rebuilds v as w (a - b), which loses the
+        # relative accuracy of a component much smaller than |x|
+        states[:, 0] = start
         yield lo, tau, states
 
 
@@ -366,19 +370,29 @@ def _bounce_map(
     """Columns of ``hits`` wall hits, hit j being ``hit`` rotated by j*dphi,
     plus a max_time tail of duration ``tail`` (None for no tail)."""
     rows = hits + (tail is not None)
-    end = np.empty((rows, 4))
-    end[:hits] = _rotations((hit.x, hit.y, hit.vx, hit.vy), np.arange(hits) * dphi)
-    # every start after the first is the reflection of the previous hit, with
-    # reflect()'s formula, so it sits exactly where that hit is
-    start = np.empty((rows, 4))
+    start, end = np.empty((rows, 4)), np.empty((rows, 4))
     start[0] = (initial.x, initial.y, initial.vx, initial.vy)
-    x, y, vx, vy = end[: rows - 1].T
-    r = np.sqrt(x * x + y * y)
-    nx, ny = x / r, y / r
-    vn = vx * nx + vy * ny
-    start[1:, 0], start[1:, 1] = x, y
-    start[1:, 2], start[1:, 3] = vx - 2.0 * vn * nx, vy - 2.0 * vn * ny
-    sheet = (np.arange(rows) + (initial.sheet - 1)) % table.sheets + 1
+    row = (hit.x, hit.y, hit.vx, hit.vy)
+    # a block of hits at a time, so the temporaries stay small; each element
+    # gets the bits it would get in one pass over all hits
+    for lo in range(0, hits, _CHUNK):
+        hi = min(lo + _CHUNK, hits)
+        x, y, vx, vy = _rotations(row, np.arange(lo, hi, dtype=float) * dphi)
+        block = end[lo:hi]
+        block[:, 0], block[:, 1], block[:, 2], block[:, 3] = x, y, vx, vy
+        # every start after the first is the reflection of the previous hit,
+        # by reflect()'s formula, so it sits exactly where that hit is; the
+        # last hit of a run stopped by max_reflections starts nothing
+        m = min(hi, rows - 1) - lo
+        x, y, vx, vy = x[:m], y[:m], vx[:m], vy[:m]
+        r = np.sqrt(x * x + y * y)
+        nx, ny = x / r, y / r
+        vn2 = 2.0 * (vx * nx + vy * ny)
+        block = start[lo + 1 : lo + 1 + m]
+        block[:, 0], block[:, 1] = x, y
+        block[:, 2], block[:, 3] = vx - vn2 * nx, vy - vn2 * ny
+    cycle = (np.arange(table.sheets) + (initial.sheet - 1)) % table.sheets + 1
+    sheet = np.tile(cycle, -(-rows // table.sheets))[:rows]
     duration = np.full(rows, t_r)
     duration[0] = t0
     if tail is not None:
@@ -409,10 +423,16 @@ def simulate(
     """
     if max_reflections is None and max_time is None:
         raise ValidationError("a stop condition (max_reflections or max_time) is required")
-    if max_reflections is not None and max_reflections < 0:
-        raise ValidationError("max_reflections must be nonnegative")
-    if max_time is not None and max_time <= 0:
-        raise ValidationError("max_time must be positive")
+    if max_reflections is not None:
+        if not isinstance(max_reflections, (int, np.integer)):
+            raise ValidationError(f"max_reflections must be an integer, got {max_reflections!r}")
+        if max_reflections < 0:
+            raise ValidationError("max_reflections must be nonnegative")
+    # 0 < nan is false, so this refuses a NaN max_time too
+    if max_time is not None and not 0 < max_time < math.inf:
+        raise ValidationError(f"max_time must be positive and finite, got {max_time!r}")
+    if not all(map(math.isfinite, (initial.x, initial.y, initial.vx, initial.vy))):
+        raise ValidationError(f"initial state must be finite, got {initial}")
 
     k, r2 = table.k, initial.r2
     table.next_sheet(initial.sheet)  # raises ValidationError for a sheet off the book

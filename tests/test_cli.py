@@ -139,8 +139,10 @@ class TestSimulate:
         assert code == 0
         # a start on the wall moving inward at 1e-12 grazes at once
         assert capsys.readouterr().err == "stopped early: grazing; reflections made: 0\n"
-        _, columns = io.read_trajectory_csv(tmp_path / "trajectory.csv")
-        assert columns["vx"][0] == pytest.approx(-1e-12, rel=1e-3)
+        # the first row is the start state itself; the flow at tau = 0 would
+        # give vx = -1.0000333894311098e-12
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert rows[2].split(",")[3:7] == ["1", "0", "-9.9999999999999998e-13", "0.29999999999999999"]
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BILLIARDBOOK_OUT", str(tmp_path / "envout"))
@@ -323,6 +325,45 @@ def test_json_reports_carry_the_config_in_one_form(tmp_path, capsys, argv, path)
     doc = json.loads(text)
     assert doc["config"]["k"] == -1.0
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+NON_FINITE_FLAGS = {
+    "rotation-h": ["rotation", "--h", "nan", "--f", "0.5"],
+    "classify-h": ["classify", "--h", "nan", "--f", "0.2"],
+    "eigen-lam": ["eigen", "--lam", "nan"],
+    "simulate-time": ["simulate", "--seed", "1", "--time", "inf"],
+    "simulate-initial": ["simulate", "--initial", "nan", "0", "0.1", "0.2", "--reflections", "3"],
+}
+# json.dumps writes NaN and Infinity, and json.loads reads them back; rotation
+# requires --h and --f as flags, so its config case is k
+NON_FINITE_CONFIGS = {
+    "rotation-k": ({"k": -math.inf}, ["rotation", "--h", "0.375", "--f", "0.5"]),
+    "classify-h": ({"h": math.nan, "f": 0.2}, ["classify"]),
+    "eigen-lam": ({"lam": math.nan}, ["eigen"]),
+    "simulate-time": ({"time": math.inf, "seed": 1}, ["simulate"]),
+    "simulate-initial": ({"initial": [math.nan, 0, 0.1, 0.2], "reflections": 3}, ["simulate"]),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_FLAGS)
+def test_non_finite_flag_exits_2(tmp_path, capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *NON_FINITE_FLAGS[name])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid finite float value" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", NON_FINITE_CONFIGS)
+def test_non_finite_config_value_exits_2(tmp_path, capsys, name):
+    doc, argv = NON_FINITE_CONFIGS[name]
+    config, out_dir = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps(doc))
+    assert main(["--config", str(config), "--out-dir", str(out_dir)] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "does not fit" in err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_cli_import_does_not_load_scipy():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from billiardbook import (
     simulate,
     time_to_boundary,
 )
+from billiardbook.dynamics import _CHUNK
 
 K = -1.0
 KS = (-0.25, -1.0, -4.0)
@@ -253,6 +255,25 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="focus-focus"):
             simulate(TABLE, PhaseState(1, 0.0, 0.0, 0.0, 0.0), max_reflections=1)
 
+    @pytest.mark.parametrize("max_time", [math.inf, math.nan])
+    def test_non_finite_max_time_rejected(self, max_time):
+        with pytest.raises(ValidationError, match="max_time must be positive and finite"):
+            simulate(TABLE, PhaseState(1, 0.5, 0.0, 0.0, 1.0), max_time=max_time)
+
+    def test_fractional_max_reflections_rejected(self):
+        with pytest.raises(ValidationError, match="max_reflections must be an integer"):
+            simulate(TABLE, PhaseState(1, 0.5, 0.0, 0.0, 1.0), max_reflections=2.5)
+        # a numpy integer is an integer
+        assert len(simulate(TABLE, PhaseState(1, 0.5, 0.0, 0.0, 1.0), max_reflections=np.int64(3))) == 3
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("component", range(4))
+    def test_non_finite_initial_state_rejected(self, component, value):
+        row = [0.5, 0.0, 0.1, 0.2]
+        row[component] = value
+        with pytest.raises(ValidationError, match="initial state must be finite"):
+            simulate(TABLE, PhaseState(1, *row), max_reflections=3)
+
     def test_per_segment_conservation(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -376,8 +397,46 @@ class TestBounceMap:
     def test_each_start_is_the_reflection_of_the_previous_hit(self):
         table = BookTable(k=-4.0, sheets=5)
         traj = simulate(table, PhaseState(2, 0.2, -0.4, 0.9, 0.3), max_reflections=5000)
-        for j in (1, 2, 3, 1000, 4999):
+        # the hits come _CHUNK at a time: the rows on each side of a block's edge too
+        for j in (1, 2, 3, 1000, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 4999):
             assert reflect(table, traj[j - 1].end) == traj[j].start
+
+    def test_block_edges_change_no_row(self):
+        # a reflection-stopped run and a max_time tail, both in the third block
+        table, start = BookTable(k=-1.0, sheets=3), PhaseState(2, 0.2, -0.4, 0.9, 0.3)
+        head, t_r = simulate(table, start, max_reflections=2).duration
+        runs = (
+            simulate(table, start, max_reflections=2 * _CHUNK + 3),
+            simulate(table, start, max_time=head + (2 * _CHUNK + 0.5) * t_r),
+        )
+        assert [(len(t), t.reflections, t.stop_reason) for t in runs] == [
+            (2 * _CHUNK + 3, 2 * _CHUNK + 3, "reflections"),
+            (2 * _CHUNK + 2, 2 * _CHUNK + 1, "time"),
+        ]
+        for m in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
+            short = simulate(table, start, max_reflections=m)
+            for traj in runs:
+                for column in Trajectory._COLUMNS:
+                    assert np.array_equal(getattr(traj, column)[:m], getattr(short, column))
+        for traj in runs:
+            # each hit is the one before turned by the same angle, across the
+            # block edges too
+            hits = traj.end[: traj.reflections, 0] + 1j * traj.end[: traj.reflections, 1]
+            turns = hits[1:] * hits[:-1].conj()
+            assert np.abs(turns - turns[0]).max() <= 1e-12
+            # every start after the first sits on the previous hit, bit for bit
+            assert (traj.start[1:, :2].view(np.uint64) == traj.end[:-1, :2].view(np.uint64)).all()
+
+    def test_memory_peak_is_the_columns(self):
+        table = BookTable(k=-1.0, sheets=3)
+        tracemalloc.start()
+        try:
+            traj = simulate(table, PhaseState(2, 0.2, -0.4, 0.9, 0.3), max_reflections=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(traj, column).nbytes for column in Trajectory._COLUMNS)
+        assert peak <= 1.1 * columns
 
     def test_sequence_protocol(self):
         table = BookTable(k=K, sheets=3)

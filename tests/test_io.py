@@ -85,6 +85,26 @@ def test_svg_points_match_per_row_sampling(tmp_path, table, start, stop):
     assert worst <= 5e-7 + 1e-12
 
 
+@pytest.mark.parametrize(
+    "table,start,stop",
+    RUNS + [
+        # a velocity component far below |x|, which the flow at tau = 0 rounds
+        (BookTable(k=-1.0, sheets=1), PhaseState(1, 1.0, 0.0, -1e-12, 0.3), {"max_reflections": 2}),
+        # more segments than one chunk of the sampler
+        (BookTable(k=-4.0, sheets=2), PhaseState(2, 0.2, -0.4, 0.9, 0.3), {"max_reflections": 2100}),
+    ],
+    ids=IDS + ["small-velocity", "two-chunks"],
+)
+def test_each_segment_starts_at_its_start_row(tmp_path, table, start, stop):
+    trajectory = simulate(table, start, **stop)
+    path = tmp_path / "trajectory.csv"
+    io.write_trajectory_csv(path, table, trajectory, samples_per_segment=4)
+    rows = path.read_text().splitlines()[2:]
+    assert len(rows) == 5 * len(trajectory)
+    for i, row in enumerate(rows[::5]):
+        assert row.split(",")[3:7] == [io.fmt(v) for v in trajectory.start[i].tolist()]
+
+
 def written_columns(path):
     """A CSV's columns parsed value by value, after its metadata line if it has one."""
     lines = path.read_text().splitlines()
