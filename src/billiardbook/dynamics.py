@@ -24,12 +24,14 @@ before, so rounding error does not grow with the number of reflections.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import BookTable, PhaseState, ValidationError
+from .momentum import momentum_map
 
 #: a state with |r^2 - 1| below this is on the wall: reflect() accepts it, and
 #: time_to_boundary() and simulate() accept it as a start
@@ -39,6 +41,10 @@ GRAZING_TOL = 1e-12
 #: rows per numpy pass of _bounce_map(), of _sample_trajectory() and of
 #: iteration over a Trajectory, which bounds the temporaries a long run needs
 _CHUNK = 2048
+#: bytes of one row of a Trajectory's columns: start, end, sheet and duration
+_ROW_BYTES = 4 * 8 + 4 * 8 + 8 + 8
+#: physical memory, the most column bytes simulate() will allocate
+_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +77,9 @@ class Trajectory(Sequence):
     wall again).
 
     As a sequence it yields TrajectorySegment values, built from the columns
-    when they are asked for, and it hashes as the tuple of those values.
+    when they are asked for, and it hashes as the tuple of those values. That
+    view and hash exist because the benchmark in bench/ reads them; they go
+    once it reads the columns (ROADMAP item 1).
     """
 
     _COLUMNS = ("start", "end", "sheet", "duration")
@@ -230,30 +238,6 @@ def _rotate(state: PhaseState, angle: float) -> PhaseState:
     )
 
 
-def segment_min_radius(segment: TrajectorySegment, k: float) -> float:
-    """Exact minimum of r over a free-flow segment (closed form).
-
-    r^2 = |a|^2 u + 2a.b + |b|^2/u is least at u = |b|/|a|, where it equals
-    2(|a||b| + a.b) = (f/w)^2 / (2(|a||b| - a.b)); the second form avoids the
-    cancellation when a.b < 0.
-    """
-    if segment.boundary_orbit:
-        return 1.0
-    w = math.sqrt(-k)
-    start = segment.start
-    ax, ay, bx, by = _halves(start, w)
-    na, nb = math.hypot(ax, ay), math.hypot(bx, by)
-    candidates = [start.r2, segment.end.r2]
-    if 0.0 < na < nb and math.log(nb / na) < 2.0 * w * segment.duration:
-        ab = ax * bx + ay * by
-        if ab >= 0.0:
-            candidates.append(2.0 * (na * nb + ab))
-        else:
-            f = start.x * start.vy - start.y * start.vx
-            candidates.append((f / w) ** 2 / (2.0 * (na * nb - ab)))
-    return math.sqrt(min(candidates))
-
-
 def sample_segment(segment: TrajectorySegment, k: float, count: int) -> list[PhaseState]:
     """States at count+1 equally spaced times along the segment (ends included)."""
     if segment.boundary_orbit:
@@ -343,18 +327,32 @@ def _hit_count(
 ) -> tuple[int, float | None]:
     """Wall hits before the stop, and the max_time tail (None if reflections stop first).
 
-    Hit j comes at t0 + j*t_r; it counts when that is before max_time.
+    Hit j comes at t0 + j*t_r; it counts when that is before max_time. A count
+    whose columns exceed physical memory is refused before it is made exact,
+    since at such sizes t0 + j*t_r cannot tell j from j + 1.
     """
-    if max_time is None:
+    if max_time is None or (
+        max_reflections is not None and t0 + (max_reflections - 1) * t_r < max_time
+    ):
+        _check_fits(max_reflections, max_reflections, max_time)
         return max_reflections, None
     hits = max(math.ceil((max_time - t0) / t_r), 1)
+    _check_fits(hits, max_reflections, max_time)
     while t0 + (hits - 1) * t_r >= max_time:
         hits -= 1
     while t0 + hits * t_r < max_time:
         hits += 1
-    if max_reflections is not None and max_reflections <= hits:
-        return max_reflections, None
     return hits, max_time - (t0 + (hits - 1) * t_r)
+
+
+def _check_fits(hits: int, max_reflections: int | None, max_time: float | None) -> None:
+    """Refuse a run of ``hits`` wall hits whose columns exceed physical memory."""
+    size = int(hits) * _ROW_BYTES
+    if size > _MEMORY_BYTES:
+        raise ValidationError(
+            f"{hits} wall hits (max_reflections={max_reflections!r}, max_time={max_time!r}) "
+            f"need {size} bytes of columns, more than the {_MEMORY_BYTES} bytes of physical memory"
+        )
 
 
 def _bounce_map(
@@ -438,6 +436,9 @@ def simulate(
     table.next_sheet(initial.sheet)  # raises ValidationError for a sheet off the book
     if r2 - 1.0 > BOUNDARY_TOL:
         raise ValidationError("initial state must lie in the closed unit disk")
+    mv = momentum_map(initial, k)
+    if not (math.isfinite(mv.h) and math.isfinite(mv.f)):
+        raise ValidationError(f"H and F of the initial state must be finite, got {mv}")
     if r2 == 0.0 and initial.speed2 == 0.0:
         raise ValidationError(
             "the rest state at the origin is the focus-focus equilibrium; "

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _sample_trajectory
 from .linearization import PencilSpectrum
-from .model import BookTable
+from .model import BookTable, ValidationError
 from .momentum import FIBER_TAGS, BifurcationDiagram, FiberTag, classify_grid
 from .monodromy import MonodromyReport
 
@@ -79,6 +79,8 @@ def write_trajectory_csv(
     h and f use momentum_map()'s formulas on the whole chunk.
     """
     k, count = table.k, samples_per_segment
+    if count < 1:
+        raise ValidationError(f"samples per segment must be at least 1, got {count!r}")
     line = "%d,%d" + ",%.17g" * 7 + "\r\n"
     # each segment's start time: the durations before it, summed in order
     t_start = np.cumsum(np.concatenate(([0.0], trajectory.duration[:-1])))

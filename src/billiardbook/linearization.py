@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidationError
+from .model import PhaseState, ValidationError
+from .momentum import gradients
 
 #: eigenvalue real/imaginary parts below this are treated as vanishing
 SPECTRUM_TOL = 1e-10
@@ -35,25 +36,17 @@ class PencilSpectrum:
 
 
 def linearization_operators(k: float) -> tuple[np.ndarray, np.ndarray]:
-    """The operators A_H and A_F linearizing sgrad H and sgrad F at the origin."""
+    """The operators A_H and A_F linearizing sgrad H and sgrad F at the origin.
+
+    Each is J times the Hessian, with J = [[0, I], [-I, 0]] in (x, y, vx, vy)
+    components; H and F are quadratic, so column j of the Hessian is the
+    gradient at the j-th basis state.
+    """
     if not k < 0:
         raise ValidationError("k must be negative")
-    a_h = np.array(
-        [
-            [0.0, 0.0, -k, 0.0],
-            [0.0, 0.0, 0.0, -k],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-        ]
-    )
-    a_f = np.array(
-        [
-            [0.0, -1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, -1.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    )
+    j = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    basis = [gradients(PhaseState(1, *row), k) for row in np.eye(4).tolist()]
+    a_h, a_f = (j @ np.column_stack(columns) for columns in zip(*basis))
     return a_h, a_f
 
 

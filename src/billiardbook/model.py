@@ -8,7 +8,6 @@ next sheet of the cyclic gluing. The central potential ``k*(x^2+y^2)/2`` with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -60,20 +59,8 @@ class PhaseState:
         return self.x * self.x + self.y * self.y
 
     @property
-    def r(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    @property
     def speed2(self) -> float:
         return self.vx * self.vx + self.vy * self.vy
-
-    @property
-    def phi(self) -> float:
-        return math.atan2(self.y, self.x)
-
-    def reversed(self) -> "PhaseState":
-        """Same point with the velocity negated (time reversal)."""
-        return PhaseState(self.sheet, self.x, self.y, -self.vx, -self.vy)
 
 
 @dataclass(frozen=True)

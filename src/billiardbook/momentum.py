@@ -86,11 +86,6 @@ def inner_radius_squared(h: float, f: float, k: float) -> float:
     return (-h + root) / (-k)
 
 
-def annulus(h: float, f: float, k: float) -> tuple[float, float]:
-    """Region of possible motion on each sheet, as radii (r0, 1)."""
-    return inner_radius(h, f, k), 1.0
-
-
 def classify_fiber(table: BookTable, h: float, f: float) -> FiberClass:
     """Classify the fiber over (h, f); values within SIGMA_TOL of Sigma are singular."""
     k = table.k
@@ -143,36 +138,3 @@ def bifurcation_diagram(
     h = (f * f + k) / 2.0
     return BifurcationDiagram(k=k, f=f, h=h)
 
-
-def critical_point_residual(
-    k: float,
-    grid: int = 9,
-    v_max: float = 2.0,
-    sigma_margin: float = 0.05,
-) -> float:
-    """Brute-force check that the equilibrium is the only interior critical point.
-
-    Returns the minimum of ||dH ^ dF|| over a phase grid restricted to the disk
-    interior and to states whose momentum value keeps a margin from Sigma (the
-    parabola and the origin). A strictly positive return is evidence, not
-    proof, that no further critical points exist.
-    """
-    if not k < 0:
-        raise ValidationError("k must be negative")
-    s = np.linspace(-1.0, 1.0, grid)
-    v = np.linspace(-v_max, v_max, grid)
-    x, y, vx, vy = np.meshgrid(s, s, v, v, indexing="ij")
-    r2 = x * x + y * y
-    h = 0.5 * (vx * vx + vy * vy) + 0.5 * k * r2
-    f = x * vy - y * vx
-    keep = (r2 < 1.0) & (np.abs(h - (f * f + k) / 2.0) > sigma_margin)
-    keep &= np.maximum(np.abs(h), np.abs(f)) > sigma_margin
-    # 2x2 minors of the Jacobian [dH; dF]
-    dh = (k * x, k * y, vx, vy)
-    df = (vy, -vx, -y, x)
-    wedge2 = np.zeros_like(x)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m = dh[i] * df[j] - dh[j] * df[i]
-            wedge2 += m * m
-    return float(np.sqrt(wedge2[keep]).min())

@@ -24,11 +24,11 @@ from billiardbook import (
     momentum_map,
     radial_period_quadrature,
     radial_period_simulated,
-    segment_min_radius,
     simulate,
     FiberTag,
     SpectrumClass,
 )
+from test_dynamics import segment_min_radii
 
 K = -1.0
 
@@ -61,10 +61,11 @@ def test_criterion_1_conservation(long_runs):
     for table, start, segments, elapsed in long_runs:
         assert elapsed < 5.0, f"trajectory took {elapsed:.2f}s"
         ref = momentum_map(start, table.k)
-        for seg in segments:
-            mv = momentum_map(seg.end, table.k)
-            worst_h = max(worst_h, abs(mv.h - ref.h))
-            worst_f = max(worst_f, abs(mv.f - ref.f))
+        x, y, vx, vy = segments.end.T
+        h = 0.5 * (vx * vx + vy * vy) + 0.5 * table.k * (x * x + y * y)
+        f = x * vy - y * vx
+        worst_h = max(worst_h, np.abs(h - ref.h).max())
+        worst_f = max(worst_f, np.abs(f - ref.f).max())
     assert worst_h < 1e-9
     assert worst_f < 1e-9
     print(
@@ -79,11 +80,12 @@ def test_criterion_2_confinement(long_runs):
     for table, start, segments, _ in long_runs:
         mv = momentum_map(start, table.k)
         r0 = inner_radius(mv.h, mv.f, table.k)
-        for seg in segments:
-            worst_inner = min(worst_inner, segment_min_radius(seg, table.k) - r0)
-            worst_outer = max(worst_outer, seg.end.r2 - 1.0)
-            worst_outer = max(worst_outer, seg.start.r2 - 1.0)
-        assert all(segment_min_radius(s, table.k) >= r0 - 1e-9 for s in segments)
+        radii = segment_min_radii(segments, table.k)
+        worst_inner = min(worst_inner, radii.min() - r0)
+        for column in (segments.end, segments.start):
+            x, y = column[:, 0], column[:, 1]
+            worst_outer = max(worst_outer, (x * x + y * y - 1.0).max())
+        assert (radii >= r0 - 1e-9).all()
     assert worst_outer <= 1e-12
     print(
         f"\nACCEPTANCE 2 PASS: confinement to the annulus, "

@@ -89,6 +89,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--initial", "0.5", "0", "0", "1", "--time", "1e15"], "wall hits"),
+            (["--initial", "0.5", "0", "0", "1", "--time", "1e30"], "wall hits"),
+            (["--seed", "1", "--reflections", "3", "--samples-per-segment", "0"],
+             "samples per segment"),
+            (["--seed", "1", "--reflections", "3", "--samples-per-segment", "-1"],
+             "samples per segment"),
+            (["--initial", "0.5", "0", "0", "1e160", "--reflections", "3"], "H and F"),
+        ],
+        ids=["time-1e15", "time-1e30", "samples-0", "samples-minus-1", "overflowing-h"],
+    )
+    def test_run_that_cannot_be_written_exits_2(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, "simulate", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_invalid_k_exits_2(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "-k", "1", "--reflections", "5")
         assert code == 2

@@ -18,7 +18,6 @@ from billiardbook import (
     momentum_map,
     reflect,
     sample_segment,
-    segment_min_radius,
     simulate,
     time_to_boundary,
 )
@@ -59,6 +58,36 @@ def event_driven(table, state, max_reflections=None, max_time=None):
         state = reflect(table, end)
         t += dt
     return segments
+
+
+def segment_min_radii(trajectory, k):
+    """Exact minimum of r over each segment of a run, as one column (closed form).
+
+    r^2 = |a|^2 u + 2a.b + |b|^2/u is least at u = |b|/|a|, where it equals
+    2(|a||b| + a.b) = (f/w)^2 / (2(|a||b| - a.b)); the second form avoids the
+    cancellation when a.b < 0. That turning point counts when it comes
+    before the segment ends; a segment sliding along the wall keeps r = 1.
+    """
+    w = math.sqrt(-k)
+    x, y, vx, vy = trajectory.start.T
+    px, py = vx / w, vy / w
+    ax, ay, bx, by = 0.5 * (x + px), 0.5 * (y + py), 0.5 * (x - px), 0.5 * (y - py)
+    na, nb = np.hypot(ax, ay), np.hypot(bx, by)
+    ab, f = ax * bx + ay * by, x * vy - y * vx
+    ex, ey = trajectory.end[:, 0], trajectory.end[:, 1]
+    r2 = np.minimum(x * x + y * y, ex * ex + ey * ey)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turns = (0.0 < na) & (na < nb) & (np.log(nb / na) < 2.0 * w * trajectory.duration)
+        inner = np.where(ab >= 0.0, 2.0 * (na * nb + ab), (f / w) ** 2 / (2.0 * (na * nb - ab)))
+    radii = np.sqrt(np.where(turns, np.minimum(r2, inner), r2))
+    if trajectory.boundary_orbit:
+        radii[-1] = 1.0
+    return radii
+
+
+def time_reversed(state):
+    """The same point with the velocity negated."""
+    return PhaseState(state.sheet, state.x, state.y, -state.vx, -state.vy)
 
 
 def state_row(state):
@@ -120,10 +149,10 @@ class TestTimeToBoundary:
             state = random_interior_state(rng)
             t = time_to_boundary(state, K)
             end = flow_free(state, t, K)
-            assert abs(end.r - 1.0) < 1e-10
+            assert abs(math.sqrt(end.r2) - 1.0) < 1e-10
             for j in range(1, 64):
                 mid = flow_free(state, t * j / 64.0, K)
-                assert mid.r < 1.0 + 1e-12
+                assert math.sqrt(mid.r2) < 1.0 + 1e-12
 
 
 class TestReflect:
@@ -158,10 +187,10 @@ class TestReflect:
         table = BookTable(k=K, sheets=5)
         state = PhaseState(2, math.cos(0.3), math.sin(0.3), 0.7, 0.4)
         if state.x * state.vx + state.y * state.vy < 0:
-            state = state.reversed()
+            state = time_reversed(state)
         once = reflect(table, state)
         # the reflected velocity points inward; flip it to re-reflect
-        twice = reflect(table, once.reversed())
+        twice = reflect(table, time_reversed(once))
         assert twice.vx == pytest.approx(-state.vx, abs=1e-15)
         assert twice.vy == pytest.approx(-state.vy, abs=1e-15)
         assert twice.sheet == 4
@@ -199,7 +228,7 @@ class TestSimulate:
         mv = momentum_map(start, K)
         r0 = inner_radius(mv.h, mv.f, K)
         segments = simulate(TABLE, start, max_reflections=500)
-        min_r = min(segment_min_radius(seg, K) for seg in segments)
+        min_r = segment_min_radii(segments, K).min()
         assert min_r >= r0 - 1e-9
         # the radial turning point is reached every radial period
         assert min_r == pytest.approx(r0, abs=1e-6)
@@ -211,7 +240,7 @@ class TestSimulate:
             segments = simulate(TABLE, start, max_reflections=50)
             for seg in segments:
                 states = sample_segment(seg, K, 32)
-                angles = np.unwrap([s.phi for s in states])
+                angles = np.unwrap([math.atan2(s.y, s.x) for s in states])
                 diffs = np.diff(angles)
                 assert np.all(sign * diffs >= -1e-12)
 
@@ -220,8 +249,8 @@ class TestSimulate:
         fwd = simulate(TABLE, start, max_reflections=10)
         total = sum(seg.duration for seg in fwd)
         end = fwd[-1].end
-        back = simulate(TABLE, end.reversed(), max_time=total)
-        assert momentum_map(end.reversed(), K).f == pytest.approx(
+        back = simulate(TABLE, time_reversed(end), max_time=total)
+        assert momentum_map(time_reversed(end), K).f == pytest.approx(
             -momentum_map(start, K).f, abs=1e-12
         )
         final = back[-1].end
@@ -241,9 +270,10 @@ class TestSimulate:
         assert len(segments) == 1
         assert segments[0].boundary_orbit
         for state in sample_segment(segments[0], K, 64):
-            assert state.r == pytest.approx(1.0, abs=1e-12)
+            assert math.sqrt(state.r2) == pytest.approx(1.0, abs=1e-12)
         # angular speed on the wall equals f
-        assert segments[0].end.phi == pytest.approx(0.5 * 4.0, abs=1e-12)
+        end = segments[0].end
+        assert math.atan2(end.y, end.x) == pytest.approx(0.5 * 4.0, abs=1e-12)
 
     def test_sheet_off_the_book_rejected(self):
         table = BookTable(k=K, sheets=3)
@@ -274,6 +304,28 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="initial state must be finite"):
             simulate(TABLE, PhaseState(1, *row), max_reflections=3)
 
+    @pytest.mark.parametrize("max_time", [1e15, 1e30])
+    def test_max_time_beyond_memory_rejected(self, max_time):
+        # at 1e30, t0 + j*t_r cannot tell j from j + 1: counting the hits one
+        # by one would never end
+        start = PhaseState(1, 0.5, 0.0, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"wall hits .*max_time=.*physical memory"):
+                simulate(TABLE, start, max_time=max_time)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        # fewer reflections than max_time holds still stop the run
+        traj = simulate(TABLE, start, max_reflections=5, max_time=max_time)
+        assert (len(traj), traj.stop_reason) == (5, "reflections")
+
+    @pytest.mark.parametrize("row", [(0.5, 0.0, 0.0, 1e160), (0.5, 0.0, 1e154, 1e154)])
+    def test_overflowing_h_or_f_rejected(self, row):
+        with pytest.raises(ValidationError, match="H and F of the initial state must be finite"):
+            simulate(TABLE, PhaseState(1, *row), max_reflections=3)
+
     def test_per_segment_conservation(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -292,9 +344,9 @@ class TestSegmentMinRadius:
         rng = np.random.default_rng(5)
         for _ in range(100):
             start = random_interior_state(rng)
-            seg = simulate(TABLE, start, max_reflections=1)[0]
-            sampled = min(s.r2 for s in sample_segment(seg, K, 2048))
-            closed = segment_min_radius(seg, K) ** 2
+            traj = simulate(TABLE, start, max_reflections=1)
+            sampled = min(s.r2 for s in sample_segment(traj[0], K, 2048))
+            closed = segment_min_radii(traj, K)[0] ** 2
             assert sampled - 1e-6 <= closed <= sampled + 1e-12
 
 
@@ -450,7 +502,7 @@ class TestBounceMap:
             again = simulate(table, start, max_reflections=reflections)
             assert again == traj and hash(again) == hash(traj) == hash(tuple(segments))
             assert traj != simulate(table, start, max_reflections=reflections + 1)
-            assert traj != simulate(table, start.reversed(), max_reflections=reflections)
+            assert traj != simulate(table, time_reversed(start), max_reflections=reflections)
             assert len(traj) == len(segments) == reflections
             assert traj.start.shape == traj.end.shape == (reflections, 4)
             assert list(traj.sheet) == [seg.start.sheet for seg in segments]

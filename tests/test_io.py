@@ -9,6 +9,7 @@ import pytest
 from billiardbook import (
     BookTable,
     PhaseState,
+    ValidationError,
     bifurcation_diagram,
     continue_theta,
     io,
@@ -189,3 +190,12 @@ def test_continuation_csv_bytes_match_the_csv_writer_form(tmp_path):
     io.write_continuation_csv(tmp_path / "got.csv", report)
     reference_continuation_csv(tmp_path / "ref.csv", report)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_fewer_than_one_sample_per_segment_rejected(tmp_path, count):
+    table, start, stop = RUNS[0]
+    traj = simulate(table, start, **stop)
+    with pytest.raises(ValidationError, match="samples per segment must be at least 1"):
+        io.write_trajectory_csv(tmp_path / "trajectory.csv", table, traj, count)
+    assert not (tmp_path / "trajectory.csv").exists()

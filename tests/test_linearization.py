@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from billiardbook import (
+    PhaseState,
     SpectrumClass,
     ValidationError,
     certify_focus_focus,
+    flow_free,
     linearization_operators,
     pencil_eigenvalues,
 )
@@ -36,6 +38,21 @@ class TestOperators:
         _, a1 = linearization_operators(-1.0)
         _, a2 = linearization_operators(-7.3)
         assert np.array_equal(a1, a2)
+
+    @pytest.mark.parametrize("k", [-4.0, -7.3])
+    def test_operators_are_the_flow_derivative(self, k):
+        # away from k = -1, where -k = 1 hides which side k multiplies
+        z = np.array([0.3, 0.1, 0.4, -0.7])
+        x, y, vx, vy = z
+        a_h, a_f = linearization_operators(k)
+        assert np.array_equal(a_h @ z, [vx, vy, -k * x, -k * y])
+        assert np.array_equal(a_f @ z, [-y, x, -vy, vx])
+        # a second-order one-sided difference of the flow at t = 0
+        dt = 1e-5
+        flow = [flow_free(PhaseState(1, *z), step * dt, k) for step in (0, 1, 2)]
+        rows = np.array([[s.x, s.y, s.vx, s.vy] for s in flow])
+        derivative = (-3.0 * rows[0] + 4.0 * rows[1] - rows[2]) / (2.0 * dt)
+        assert np.abs(derivative - a_h @ z).max() <= 1e-6
 
     def test_linear_at_origin(self):
         a_h, _ = linearization_operators(-1.0)

@@ -11,19 +11,17 @@ from billiardbook import (
     FiberTag,
     PhaseState,
     ValidationError,
-    annulus,
     bifurcation_diagram,
     classify_fiber,
     classify_grid,
-    critical_point_residual,
     gradients,
     in_image,
     inner_radius,
     momentum_map,
     simulate,
-    segment_min_radius,
 )
 from billiardbook.momentum import SIGMA_TOL
+from test_dynamics import segment_min_radii
 
 K = -1.0
 TABLE = BookTable(k=K, sheets=1)
@@ -84,7 +82,6 @@ class TestInnerRadius:
 
     def test_annulus_collapses_on_parabola(self):
         assert inner_radius(0.0, 1.0, K) == pytest.approx(1.0, abs=1e-15)
-        assert annulus(0.0, 1.0, K) == pytest.approx((1.0, 1.0), abs=1e-15)
 
     def test_outside_image_rejected(self):
         with pytest.raises(ValidationError):
@@ -113,7 +110,7 @@ class TestInnerRadius:
         start = PhaseState(1, 0.5, 0.0, 0.0, 1.0)
         mv = momentum_map(start, K)
         segments = simulate(TABLE, start, max_reflections=50)
-        min_r = min(segment_min_radius(seg, K) for seg in segments)
+        min_r = segment_min_radii(segments, K).min()
         assert min_r == pytest.approx(inner_radius(mv.h, mv.f, K), abs=1e-6)
 
 
@@ -174,6 +171,38 @@ class TestBifurcationDiagram:
     def test_resolution_validated(self):
         with pytest.raises(ValidationError):
             bifurcation_diagram(K, resolution=1)
+
+
+def critical_point_residual(
+    k: float,
+    grid: int = 9,
+    v_max: float = 2.0,
+    sigma_margin: float = 0.05,
+) -> float:
+    """Brute-force check that the equilibrium is the only interior critical point.
+
+    Returns the minimum of ||dH ^ dF|| over a phase grid restricted to the disk
+    interior and to states whose momentum value keeps a margin from Sigma (the
+    parabola and the origin). A strictly positive return is evidence, not
+    proof, that no further critical points exist.
+    """
+    s = np.linspace(-1.0, 1.0, grid)
+    v = np.linspace(-v_max, v_max, grid)
+    x, y, vx, vy = np.meshgrid(s, s, v, v, indexing="ij")
+    r2 = x * x + y * y
+    h = 0.5 * (vx * vx + vy * vy) + 0.5 * k * r2
+    f = x * vy - y * vx
+    keep = (r2 < 1.0) & (np.abs(h - (f * f + k) / 2.0) > sigma_margin)
+    keep &= np.maximum(np.abs(h), np.abs(f)) > sigma_margin
+    # 2x2 minors of the Jacobian [dH; dF]
+    dh = (k * x, k * y, vx, vy)
+    df = (vy, -vx, -y, x)
+    wedge2 = np.zeros_like(x)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            m = dh[i] * df[j] - dh[j] * df[i]
+            wedge2 += m * m
+    return float(np.sqrt(wedge2[keep]).min())
 
 
 def test_no_further_critical_points_brute_force():
