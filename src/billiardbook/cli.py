@@ -20,7 +20,7 @@ import numpy as np
 from . import io
 from .dynamics import simulate
 from .linearization import pencil_eigenvalues
-from .model import BookTable, ConvergenceError, PhaseState, ValidationError
+from .model import BookTable, ConvergenceError, PhaseState, ValidationError, require_fits
 from .momentum import bifurcation_diagram, classify_fiber, in_image, inner_radius, momentum_map
 from .monodromy import (
     continue_theta,
@@ -245,6 +245,7 @@ def _cmd_classify(args, cfg: _Config, out: Path) -> int:
         resolution = cfg.get("resolution", 201)
         if resolution < 2:
             raise ValidationError("resolution must be >= 2")
+        require_fits(2 * 8 * resolution**2, "resolution=%r", resolution)  # h and f of each cell
         h = np.linspace(cfg.get("h-min", -1.5), cfg.get("h-max", 1.5), resolution)
         f = np.linspace(cfg.get("f-min", -1.5), cfg.get("f-max", 1.5), resolution)
         io.write_classification_csv(out / "classification.csv", table, h, f)

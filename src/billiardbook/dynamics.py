@@ -11,7 +11,9 @@ is the larger root of a quadratic in ``u`` and the closest approach to the
 center sits at ``u = |b|/|a|``. The stable manifold of the equilibrium is
 exactly ``a = 0``. No ODE integrator and no iteration is involved, which makes
 conservation of ``H = -2 w^2 a.b`` and ``F = -2 w a x b`` a test oracle
-instead of an error source.
+instead of an error source. Each formula is one function of plain arithmetic:
+one state as floats (with math's exp, cos, sin and sqrt, as a numpy call costs
+more than the work) and numpy columns of states get the same bits from it.
 
 The flow and the wall are invariant under rotation, and (H, F) fixes a
 wall-to-wall arc up to rotation, so after the first wall hit every arc is the
@@ -24,14 +26,13 @@ before, so rounding error does not grow with the number of reflections.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BookTable, PhaseState, ValidationError
-from .momentum import momentum_map
+from .model import BookTable, PhaseState, ValidationError, require_fits
+from .momentum import h_and_f, momentum_map
 
 #: a state with |r^2 - 1| below this is on the wall: reflect() accepts it, and
 #: time_to_boundary() and simulate() accept it as a start
@@ -43,8 +44,6 @@ GRAZING_TOL = 1e-12
 _CHUNK = 2048
 #: bytes of one row of a Trajectory's columns: start, end, sheet and duration
 _ROW_BYTES = 4 * 8 + 4 * 8 + 8 + 8
-#: physical memory, the most column bytes simulate() will allocate
-_MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,10 +156,26 @@ class Trajectory(Sequence):
         return hash(tuple(self))
 
 
-def _halves(state: PhaseState, w: float) -> tuple[float, float, float, float]:
-    """Light-cone halves a = (x + v/w)/2 and b = (x - v/w)/2 as (ax, ay, bx, by)."""
-    px, py = state.vx / w, state.vy / w
-    return 0.5 * (state.x + px), 0.5 * (state.y + py), 0.5 * (state.x - px), 0.5 * (state.y - py)
+def _flow(x, y, vx, vy, w, e):
+    """The state (x, y, vx, vy) after time t, with e = exp(w t): the half
+    a = (x + v/w)/2 grows by e and b = (x - v/w)/2 shrinks by 1/e."""
+    px, py = vx / w, vy / w
+    ax, ay = 0.5 * (x + px) * e, 0.5 * (y + py) * e
+    bx, by = 0.5 * (x - px) / e, 0.5 * (y - py) / e
+    return ax + bx, ay + by, w * (ax - bx), w * (ay - by)
+
+
+def _rotated(x, y, vx, vy, c, s):
+    """The state (x, y, vx, vy) turned by the angle of cosine c and sine s."""
+    return c * x - s * y, s * x + c * y, c * vx - s * vy, s * vx + c * vy
+
+
+def _reflected(x, y, vx, vy, r):
+    """v.n at the wall point (x, y) of radius r, and the velocity reflected there."""
+    nx, ny = x / r, y / r
+    vn = vx * nx + vy * ny
+    vn2 = 2.0 * vn
+    return vn, vx - vn2 * nx, vy - vn2 * ny
 
 
 def flow_free(state: PhaseState, t: float, k: float) -> PhaseState:
@@ -170,10 +185,7 @@ def flow_free(state: PhaseState, t: float, k: float) -> PhaseState:
     if not k < 0:
         raise ValidationError("k must be negative")
     w = math.sqrt(-k)
-    ax, ay, bx, by = _halves(state, w)
-    e = math.exp(w * t)
-    ax, ay, bx, by = ax * e, ay * e, bx / e, by / e
-    return PhaseState(state.sheet, ax + bx, ay + by, w * (ax - bx), w * (ay - by))
+    return PhaseState(state.sheet, *_flow(state.x, state.y, state.vx, state.vy, w, math.exp(w * t)))
 
 
 def time_to_boundary(state: PhaseState, k: float) -> float:
@@ -191,7 +203,7 @@ def time_to_boundary(state: PhaseState, k: float) -> float:
     if r2 - 1.0 > BOUNDARY_TOL:
         raise ValidationError("state lies outside the closed unit disk")
     w = math.sqrt(-k)
-    ax, ay, _, _ = _halves(state, w)
+    ax, ay = 0.5 * (state.x + state.vx / w), 0.5 * (state.y + state.vy / w)
     a2 = ax * ax + ay * ay
     if a2 == 0.0:
         # v = -w*x: the inbound stable ray (or rest at the origin)
@@ -213,44 +225,24 @@ def reflect(table: BookTable, state: PhaseState) -> PhaseState:
     r2 = state.r2
     if abs(r2 - 1.0) >= BOUNDARY_TOL:
         raise ValidationError("reflect requires a state on the boundary circle")
-    r = math.sqrt(r2)
-    nx, ny = state.x / r, state.y / r
-    vn = state.vx * nx + state.vy * ny
+    vn, vx, vy = _reflected(state.x, state.y, state.vx, state.vy, math.sqrt(r2))
     if vn < -GRAZING_TOL:
         raise ValidationError("reflect requires a nonnegative outward velocity")
-    return PhaseState(
-        table.next_sheet(state.sheet),
-        state.x,
-        state.y,
-        state.vx - 2.0 * vn * nx,
-        state.vy - 2.0 * vn * ny,
-    )
+    return PhaseState(table.next_sheet(state.sheet), state.x, state.y, vx, vy)
 
 
 def _rotate(state: PhaseState, angle: float) -> PhaseState:
     c, s = math.cos(angle), math.sin(angle)
-    return PhaseState(
-        state.sheet,
-        c * state.x - s * state.y,
-        s * state.x + c * state.y,
-        c * state.vx - s * state.vy,
-        s * state.vx + c * state.vy,
-    )
+    return PhaseState(state.sheet, *_rotated(state.x, state.y, state.vx, state.vy, c, s))
 
 
 def sample_segment(segment: TrajectorySegment, k: float, count: int) -> list[PhaseState]:
     """States at count+1 equally spaced times along the segment (ends included)."""
+    start, duration = segment.start, segment.duration
     if segment.boundary_orbit:
-        f = segment.start.x * segment.start.vy - segment.start.y * segment.start.vx
-        return [_rotate(segment.start, f * segment.duration * i / count) for i in range(count + 1)]
-    return [flow_free(segment.start, segment.duration * i / count, k) for i in range(count + 1)]
-
-
-def _rotations(row, angles: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Columns x, y, vx, vy of one state rotated by each angle, as _rotate()."""
-    x, y, vx, vy = row
-    c, s = np.cos(angles), np.sin(angles)
-    return c * x - s * y, s * x + c * y, c * vx - s * vy, s * vx + c * vy
+        _, f = h_and_f(start.x, start.y, start.vx, start.vy, k)
+        return [_rotate(start, f * duration * i / count) for i in range(count + 1)]
+    return [flow_free(start, duration * i / count, k) for i in range(count + 1)]
 
 
 def _sample_trajectory(
@@ -260,10 +252,8 @@ def _sample_trajectory(
 
     Yields (first segment of the chunk, tau, states): ``tau[i, j]`` is the
     time since segment i's start of its j-th of count+1 equally spaced
-    samples and ``states[i, j]`` the state (x, y, vx, vy) there. The formulas
-    and their order of operations are those of flow_free() and of the
-    boundary-orbit rotation, evaluated for all rows at once; each segment's
-    first sample is its start state itself.
+    samples and ``states[i, j]`` the state (x, y, vx, vy) there, from the
+    kernels of flow_free() and _slide(); a segment's first sample is its start.
     """
     w = math.sqrt(-k)
     steps = np.arange(count + 1)
@@ -273,16 +263,12 @@ def _sample_trajectory(
         duration = trajectory.duration[lo:hi, None]
         tau = duration * steps / count
         x, y, vx, vy = (column[:, None] for column in start.T)
-        px, py = vx / w, vy / w
-        e = np.exp(w * tau)
-        ax, ay = 0.5 * (x + px) * e, 0.5 * (y + py) * e
-        bx, by = 0.5 * (x - px) / e, 0.5 * (y - py) / e
-        states = np.stack((ax + bx, ay + by, w * (ax - bx), w * (ay - by)), axis=-1)
+        states = np.stack(_flow(x, y, vx, vy, w, np.exp(w * tau)), axis=-1)
         if trajectory.boundary_orbit and hi == len(trajectory):
-            # on r = 1 the angular speed equals f = x*vy - y*vx
-            x0, y0, vx0, vy0 = start[-1].tolist()
-            f = x0 * vy0 - y0 * vx0
-            states[-1] = np.stack(_rotations(start[-1], f * duration[-1, 0] * steps / count), -1)
+            # on r = 1 the angular speed equals f
+            x, y, vx, vy = start[-1].tolist()
+            angles = h_and_f(x, y, vx, vy, k)[1] * duration[-1, 0] * steps / count
+            states[-1] = np.stack(_rotated(x, y, vx, vy, np.cos(angles), np.sin(angles)), -1)
         # the flow at tau = 0 rebuilds v as w (a - b), which loses the
         # relative accuracy of a component much smaller than |x|
         states[:, 0] = start
@@ -293,10 +279,10 @@ def _is_grazing(hit: PhaseState) -> bool:
     return abs(hit.x * hit.vx + hit.y * hit.vy) < GRAZING_TOL
 
 
-def _slide(state: PhaseState, duration: float) -> tuple[PhaseState, float, PhaseState]:
+def _slide(state: PhaseState, duration: float, k: float) -> tuple[PhaseState, float, PhaseState]:
     """The arc that slides along the wall from a state on it, as pure rotation."""
-    # on r = 1 the angular speed equals f = x*vy - y*vx
-    f = state.x * state.vy - state.y * state.vx
+    # on r = 1 the angular speed equals f
+    _, f = h_and_f(state.x, state.y, state.vx, state.vy, k)
     return state, duration, _rotate(state, f * duration)
 
 
@@ -314,11 +300,11 @@ def _arcs(arcs: list, reflections: int, stop_reason: str, boundary_orbit=False) 
     )
 
 
-def _grazed(arcs: list, time_left: float | None) -> Trajectory:
+def _grazed(arcs: list, time_left: float | None, k: float) -> Trajectory:
     """A tangential hit ends the last arc; the rest of max_time slides along the wall."""
     _, t_hit, hit = arcs[-1]
     sliding = time_left is not None and time_left > t_hit
-    tail = [_slide(hit, time_left - t_hit)] if sliding else []
+    tail = [_slide(hit, time_left - t_hit, k)] if sliding else []
     return _arcs(arcs + tail, len(arcs) - 1, "grazing", sliding)
 
 
@@ -331,28 +317,20 @@ def _hit_count(
     whose columns exceed physical memory is refused before it is made exact,
     since at such sizes t0 + j*t_r cannot tell j from j + 1.
     """
+    msg = "%d wall hits (max_reflections=%r, max_time=%r)"
     if max_time is None or (
         max_reflections is not None and t0 + (max_reflections - 1) * t_r < max_time
     ):
-        _check_fits(max_reflections, max_reflections, max_time)
+        hits = int(max_reflections)
+        require_fits(hits * _ROW_BYTES, msg, hits, max_reflections, max_time)
         return max_reflections, None
     hits = max(math.ceil((max_time - t0) / t_r), 1)
-    _check_fits(hits, max_reflections, max_time)
+    require_fits(hits * _ROW_BYTES, msg, hits, max_reflections, max_time)
     while t0 + (hits - 1) * t_r >= max_time:
         hits -= 1
     while t0 + hits * t_r < max_time:
         hits += 1
     return hits, max_time - (t0 + (hits - 1) * t_r)
-
-
-def _check_fits(hits: int, max_reflections: int | None, max_time: float | None) -> None:
-    """Refuse a run of ``hits`` wall hits whose columns exceed physical memory."""
-    size = int(hits) * _ROW_BYTES
-    if size > _MEMORY_BYTES:
-        raise ValidationError(
-            f"{hits} wall hits (max_reflections={max_reflections!r}, max_time={max_time!r}) "
-            f"need {size} bytes of columns, more than the {_MEMORY_BYTES} bytes of physical memory"
-        )
 
 
 def _bounce_map(
@@ -375,7 +353,8 @@ def _bounce_map(
     # gets the bits it would get in one pass over all hits
     for lo in range(0, hits, _CHUNK):
         hi = min(lo + _CHUNK, hits)
-        x, y, vx, vy = _rotations(row, np.arange(lo, hi, dtype=float) * dphi)
+        angles = np.arange(lo, hi, dtype=float) * dphi
+        x, y, vx, vy = _rotated(*row, np.cos(angles), np.sin(angles))
         block = end[lo:hi]
         block[:, 0], block[:, 1], block[:, 2], block[:, 3] = x, y, vx, vy
         # every start after the first is the reflection of the previous hit,
@@ -383,12 +362,9 @@ def _bounce_map(
         # last hit of a run stopped by max_reflections starts nothing
         m = min(hi, rows - 1) - lo
         x, y, vx, vy = x[:m], y[:m], vx[:m], vy[:m]
-        r = np.sqrt(x * x + y * y)
-        nx, ny = x / r, y / r
-        vn2 = 2.0 * (vx * nx + vy * ny)
         block = start[lo + 1 : lo + 1 + m]
         block[:, 0], block[:, 1] = x, y
-        block[:, 2], block[:, 3] = vx - vn2 * nx, vy - vn2 * ny
+        _, block[:, 2], block[:, 3] = _reflected(x, y, vx, vy, np.sqrt(x * x + y * y))
     cycle = (np.arange(table.sheets) + (initial.sheet - 1)) % table.sheets + 1
     sheet = np.tile(cycle, -(-rows // table.sheets))[:rows]
     duration = np.full(rows, t_r)
@@ -454,7 +430,7 @@ def simulate(
     if xv * xv + max(1.0 - r2, 0.0) * (initial.speed2 - k) < GRAZING_TOL**2:
         if max_time is None:
             raise ValidationError("the boundary critical orbit never reflects; use max_time")
-        return _arcs([_slide(initial, max_time)], 0, "time", boundary_orbit=True)
+        return _arcs([_slide(initial, max_time, k)], 0, "time", boundary_orbit=True)
     if max_reflections == 0:
         return _arcs([], 0, "reflections")
 
@@ -464,7 +440,7 @@ def simulate(
     hit = flow_free(initial, t0, k)
     arcs = [(initial, t0, hit)]
     if _is_grazing(hit):
-        return _grazed(arcs, max_time)
+        return _grazed(arcs, max_time, k)
     if max_reflections == 1:
         return _arcs(arcs, 1, "reflections")
 
@@ -479,7 +455,7 @@ def simulate(
         return _arcs(arcs + [(start, cut, flow_free(start, cut, k))], 1, "time")
     end = flow_free(start, t_r, k)
     if _is_grazing(end):
-        return _grazed(arcs + [(start, t_r, end)], None if max_time is None else max_time - t0)
+        return _grazed(arcs + [(start, t_r, end)], None if max_time is None else max_time - t0, k)
     dphi = math.atan2(hit.x * end.y - hit.y * end.x, hit.x * end.x + hit.y * end.y)
 
     hits, tail = _hit_count(t0, t_r, max_reflections, max_time)

@@ -3,9 +3,9 @@
 Each output format is written here and only here, one way: CSV rows by
 _write_rows(), with 17 significant digits so conservation stays auditable;
 JSON reports by json_text(); SVG polylines by _polyline(), in a fixed
-template that keeps figures byte-deterministic. The trajectory, diagram and
-continuation CSVs (as numpy columns by name) and the JSON reports read back;
-classification.csv, whose tag column is text, and the SVG figures do not.
+template that keeps figures byte-deterministic. read_csv() reads the
+trajectory, diagram and continuation CSVs back as numpy columns by name;
+classification.csv, whose tag column is text, does not read back.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Trajectory, _sample_trajectory
+from .dynamics import _CHUNK, Trajectory, _sample_trajectory
 from .linearization import PencilSpectrum
-from .model import BookTable, ValidationError
-from .momentum import FIBER_TAGS, BifurcationDiagram, FiberTag, classify_grid
+from .model import BookTable, ValidationError, require_fits
+from .momentum import FIBER_TAGS, BifurcationDiagram, FiberTag, classify_grid, h_and_f
 from .monodromy import MonodromyReport
 
 
@@ -33,11 +33,11 @@ def _write_rows(fh, line: str, rows) -> None:
     fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-#: columns the CSV readers return as ints; every other column is a float
+#: columns read_csv() returns as ints; every other column is a float
 _INT_COLUMNS = ("segment", "sheet", "arc_index", "singular_point")
 
 
-def _read_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+def read_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """(header metadata, numpy columns by name) of a CSV written here.
 
     The metadata are the ``key=value`` words of a leading ``#`` line: ``k`` a
@@ -75,12 +75,13 @@ def write_trajectory_csv(
     """Rows sample each segment at equal time steps, endpoints included.
 
     A ``#`` line with k and n precedes the header. Rows are segment and sheet
-    as ints, then t, x, y, vx, vy, h and f to 17 digits, ending in ``\\r\\n``;
-    h and f use momentum_map()'s formulas on the whole chunk.
+    as ints, then t, x, y, vx, vy, h and f to 17 digits, ending in ``\\r\\n``.
     """
     k, count = table.k, samples_per_segment
     if count < 1:
         raise ValidationError(f"samples per segment must be at least 1, got {count!r}")
+    chunk_rows = min(len(trajectory), _CHUNK) * (int(count) + 1)  # 9 floats a row
+    require_fits(9 * 8 * chunk_rows, "samples_per_segment=%r", count)
     line = "%d,%d" + ",%.17g" * 7 + "\r\n"
     # each segment's start time: the durations before it, summed in order
     t_start = np.cumsum(np.concatenate(([0.0], trajectory.duration[:-1])))
@@ -90,20 +91,17 @@ def write_trajectory_csv(
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for lo, tau, states in _sample_trajectory(trajectory, k, count):
             hi = lo + len(tau)
-            x, y, vx, vy = np.moveaxis(states, -1, 0)
             rows = np.empty(tau.shape + (9,))
             rows[..., 0] = np.arange(lo, hi)[:, None]
             rows[..., 1] = sheet[lo:hi, None]
             rows[..., 2] = t_start[lo:hi, None] + tau
             rows[..., 3:7] = states
-            rows[..., 7] = 0.5 * (vx * vx + vy * vy) + 0.5 * k * (x * x + y * y)
-            rows[..., 8] = x * vy - y * vx
+            rows[..., 7], rows[..., 8] = h_and_f(*np.moveaxis(states, -1, 0), k)
             _write_rows(fh, line, rows.reshape(-1, 9))
 
 
-def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (header metadata k and n, numpy columns by name)."""
-    return _read_csv(path)
+#: the name ``billiardbook plot`` reads a trajectory by: metadata k and n, and the columns
+read_trajectory_csv = read_csv
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +119,6 @@ def write_diagram_csv(path: str | Path, diagram: BifurcationDiagram) -> None:
         fh.write(f"# billiardbook diagram k={fmt(diagram.k)}\n")
         fh.write(",".join(DIAGRAM_COLUMNS) + "\r\n")
         _write_rows(fh, "%.17g,%.17g,%d\r\n", rows)
-
-
-def read_diagram_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (header metadata k, numpy columns by name)."""
-    return _read_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +159,6 @@ def write_continuation_csv(path: str | Path, report: MonodromyReport) -> None:
         _write_rows(fh, "%d" + ",%.17g" * 5 + "\r\n", rows)
 
 
-def read_continuation_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Returns the numpy columns by name."""
-    return _read_csv(path)[1]
-
-
 def monodromy_report_dict(report: MonodromyReport) -> dict:
     gluing, labels = report.gluing_matrix_hpos, report.labels
     return {
@@ -206,11 +194,6 @@ def json_text(doc: dict) -> str:
 
 def write_json(path: str | Path, doc: dict) -> None:
     Path(path).write_text(json_text(doc))
-
-
-def read_json(path: str | Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ next sheet of the cyclic gluing. The central potential ``k*(x^2+y^2)/2`` with
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+
+#: physical memory, the most bytes of columns that any call allocates
+MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class ValidationError(ValueError):
@@ -17,6 +21,13 @@ class ValidationError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A numerical procedure failed to reach its tolerance."""
+
+
+def require_fits(size: int, what: str, *args) -> None:
+    """Refuse ``size`` bytes of columns beyond physical memory, naming ``what % args``."""
+    if size > MEMORY_BYTES:
+        what %= args
+        raise ValidationError(f"{what} would take {size} bytes; physical memory is {MEMORY_BYTES}")
 
 
 @dataclass(frozen=True)

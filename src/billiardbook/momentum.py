@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BookTable, MomentumValue, PhaseState, ValidationError
+from .model import BookTable, MomentumValue, PhaseState, ValidationError, require_fits
 
 #: classification tolerance in (h, f) space
 SIGMA_TOL = 1e-9
@@ -47,9 +47,12 @@ class FiberClass:
 
 def momentum_map(state: PhaseState, k: float) -> MomentumValue:
     """Evaluate (H, F) on a phase state."""
-    h = 0.5 * state.speed2 + 0.5 * k * state.r2
-    f = state.x * state.vy - state.y * state.vx
-    return MomentumValue(h, f)
+    return MomentumValue(*h_and_f(state.x, state.y, state.vx, state.vy, k))
+
+
+def h_and_f(x, y, vx, vy, k):
+    """H and F of the state (x, y, vx, vy), given as floats or as numpy columns."""
+    return 0.5 * (vx * vx + vy * vy) + 0.5 * k * (x * x + y * y), x * vy - y * vx
 
 
 def gradients(state: PhaseState, k: float) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +81,8 @@ def inner_radius(h: float, f: float, k: float) -> float:
 
 
 def inner_radius_squared(h: float, f: float, k: float) -> float:
-    """rho0 = r0^2, the root >= 0 of -k rho^2 + 2h rho - f^2 (no image check)."""
+    """rho0 = r0^2, the root >= 0 of -k rho^2 + 2h rho - f^2 (no image check);
+    it branches on h > 0, so monodromy._period_columns() keeps a masked copy."""
     root = math.sqrt(h * h - k * f * f)
     if h > 0.0:
         # avoid cancellation of -h + root for small f
@@ -102,8 +106,8 @@ def classify_fiber(table: BookTable, h: float, f: float) -> FiberClass:
 def classify_grid(table: BookTable, h, f) -> np.ndarray:
     """classify_fiber's rule on broadcast arrays: the FIBER_TAGS index of each value.
 
-    The same comparisons in the same order as classify_fiber, which stays the
-    scalar form because numpy's per-call cost outweighs the work on one value.
+    The same comparisons in the same order as classify_fiber, whose branches
+    stay scalar because numpy's per-call cost outweighs the work on one value.
     """
     h, f = np.asarray(h, dtype=float), np.asarray(f, dtype=float)
     d = h - (f * f + table.k) / 2.0
@@ -134,6 +138,9 @@ def bifurcation_diagram(
         raise ValidationError("k must be negative")
     if resolution < 2:
         raise ValidationError("resolution must be >= 2")
+    if f_min == f_max:
+        raise ValidationError(f"f_min and f_max must differ, both are {f_min!r}")
+    require_fits(2 * 8 * int(resolution), "resolution=%r", resolution)  # the f and h columns
     f = np.linspace(f_min, f_max, resolution)
     h = (f * f + k) / 2.0
     return BifurcationDiagram(k=k, f=f, h=h)

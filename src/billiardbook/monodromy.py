@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import flow_free, time_to_boundary
-from .model import BookTable, ConvergenceError, PhaseState, ValidationError
+from .model import BookTable, ConvergenceError, PhaseState, ValidationError, require_fits
 from .momentum import FIBER_TAGS, FiberTag, classify_fiber, classify_grid, inner_radius_squared
 
 #: unwrapping is unambiguous only if dphi steps stay below this
@@ -85,9 +85,9 @@ def radial_period_quadrature(table: BookTable, h: float, f: float) -> PeriodSamp
     continue_theta's unwrapping absorbs.
 
     This is the scalar form of _period_columns(), which continue_theta uses
-    on whole loops. Both stay: on one value numpy's per-call cost is several
-    times the work, and on a loop of waypoints one array pass is far cheaper
-    than a call per waypoint.
+    on whole loops. Both branch per value and both stay: on one value numpy's
+    per-call cost is several times the work, and on a loop one array pass is
+    far cheaper than a call per waypoint.
     """
     fiber = classify_fiber(table, h, f)
     if fiber.tag is not FiberTag.REGULAR_TORUS:
@@ -95,6 +95,7 @@ def radial_period_quadrature(table: BookTable, h: float, f: float) -> PeriodSamp
             f"({h}, {f}) is not a regular value (fiber: {fiber.tag.value})"
         )
     k = table.k
+    _require_finite_root(k, h, f)
     w = math.sqrt(-k)
     alpha = math.sqrt(h * h - k * f * f) / -k  # w^2 = -k
     gamma = h / k
@@ -108,7 +109,7 @@ def radial_period_quadrature(table: BookTable, h: float, f: float) -> PeriodSamp
 
 
 def _period_columns(k: float, h: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T_r and dphi of radial_period_quadrature() at arrays of regular values."""
+    """T_r and dphi of radial_period_quadrature() at arrays of regular values, branches as masks."""
     w = math.sqrt(-k)
     root = np.sqrt(h * h - k * f * f)
     t_r = np.arccosh((1.0 - h / k) / (root / -k)) / w
@@ -119,6 +120,15 @@ def _period_columns(k: float, h: np.ndarray, f: np.ndarray) -> tuple[np.ndarray,
     dphi = 2.0 * np.arctan2(f * np.tanh(w * t_r / 2.0), w * rho0)
     dphi[right & (f == 0.0)] = math.pi
     return t_r, dphi
+
+
+def _require_finite_root(k: float, h, f, what: str = "value") -> None:
+    """Refuse the first (h, f), floats or arrays, whose h^2 - k f^2 is not
+    finite: every closed form takes its root, which overflows near 1e154."""
+    fits = h * h - k * f * f < math.inf  # false for NaN too; a bool for floats
+    if fits is not True and (fits is False or not fits.all()):
+        i = np.argmin(fits)  # the first value that does not fit
+        raise ValidationError(f"{what} ({np.ravel(h)[i]}, {np.ravel(f)[i]}) overflows h^2 - k f^2")
 
 
 def _require_regular(table: BookTable, h, f, what="loop waypoint", error=ValidationError) -> None:
@@ -181,8 +191,10 @@ def loop_around_origin(
         raise ValidationError(
             f"loop does not enclose (0, 0): need f_max > c*sqrt(-k) = {c * math.sqrt(-k):g}"
         )
+    _require_finite_root(k, h_right, f_max, "loop corner")  # the largest h^2 - k f^2
     if points_per_arc < 2:
         raise ValidationError("points_per_arc must be >= 2")
+    require_fits(32 * int(points_per_arc), "points_per_arc=%r", points_per_arc)  # h, f a waypoint
 
     # parabola arc traversed with f increasing: in the (f, h) plane the arc
     # passes below the origin, so this orientation winds counterclockwise;
@@ -227,6 +239,8 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
     if len(loop) < 3:
         raise ValidationError("loop needs at least 3 waypoints")
     h, f = np.asarray(loop, dtype=float).T
+    with np.errstate(over="ignore"):  # an overflow is what the check looks for
+        _require_finite_root(table.k, h, f, "loop waypoint")
     _require_regular(table, h, f)
     t_r, dphi = _period_columns(table.k, h, f)
     # close the loop: its last sample is loop[0] again

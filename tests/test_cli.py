@@ -99,8 +99,11 @@ class TestSimulate:
             (["--seed", "1", "--reflections", "3", "--samples-per-segment", "-1"],
              "samples per segment"),
             (["--initial", "0.5", "0", "0", "1e160", "--reflections", "3"], "H and F"),
+            (["--seed", "1", "--reflections", "1", "--samples-per-segment", "100000000000000"],
+             "samples_per_segment="),
         ],
-        ids=["time-1e15", "time-1e30", "samples-0", "samples-minus-1", "overflowing-h"],
+        ids=["time-1e15", "time-1e30", "samples-0", "samples-minus-1", "overflowing-h",
+             "samples-1e14"],
     )
     def test_run_that_cannot_be_written_exits_2(self, tmp_path, capsys, argv, message):
         assert run(tmp_path, "simulate", *argv) == 2
@@ -173,7 +176,7 @@ class TestSimulate:
 class TestDiagram:
     def test_csv_roundtrip_and_flagged_singular_row(self, tmp_path):
         assert run(tmp_path, "diagram", "-k", "-1", "--svg") == 0
-        meta, columns = io.read_diagram_csv(tmp_path / "diagram.csv")
+        meta, columns = io.read_csv(tmp_path / "diagram.csv")
         assert meta["k"] == -1.0
         f, h, flag = columns["f"], columns["h_parabola"], columns["singular_point"]
         assert (f[flag == 1].tolist(), h[flag == 1].tolist()) == ([0.0], [0.0])
@@ -229,7 +232,7 @@ class TestClassify:
 class TestEigen:
     def test_spectrum_report(self, tmp_path):
         assert run(tmp_path, "eigen", "-k", "-1") == 0
-        doc = io.read_json(tmp_path / "spectrum.json")
+        doc = json.loads((tmp_path / "spectrum.json").read_text())
         assert doc["classification"] == "focus-focus"
         assert sorted(map(tuple, doc["eigenvalues"])) == [
             (-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0),
@@ -237,7 +240,7 @@ class TestEigen:
 
     def test_k_in_scientific_notation(self, tmp_path):
         assert run(tmp_path, "eigen", "-k", "-1e0") == 0
-        doc = io.read_json(tmp_path / "spectrum.json")
+        doc = json.loads((tmp_path / "spectrum.json").read_text())
         assert doc["k"] == doc["config"]["k"] == -1.0
 
     def test_positive_k_rejected(self, tmp_path):
@@ -262,7 +265,7 @@ class TestRotation:
 class TestMonodromy:
     def test_report_and_continuation(self, tmp_path):
         assert run(tmp_path, "monodromy", "-k", "-1", "-n", "3") == 0
-        doc = io.read_json(tmp_path / "monodromy.json")
+        doc = json.loads((tmp_path / "monodromy.json").read_text())
         assert doc["m"] == 3
         assert doc["monodromy_matrix"] == [[1, 0], [3, 1]]
         assert doc["labels"] == {
@@ -270,14 +273,14 @@ class TestMonodromy:
         }
         assert doc["config"]["c"] == 0.5
         assert 0.0 < doc["unwrap_margin"] < 1.0
-        columns = io.read_continuation_csv(tmp_path / "continuation.csv")
+        _, columns = io.read_csv(tmp_path / "continuation.csv")
         assert columns["arc_index"][0] == 0
         span = columns["theta_unwrapped"][-1] - columns["theta_unwrapped"][0]
         assert span == pytest.approx(3 * 2 * math.pi, abs=1e-9)
 
     def test_coarse_loop_measures_the_sheet_count(self, tmp_path):
         assert run(tmp_path, "monodromy", "-k", "-1", "-n", "3", "--points-per-arc", "2") == 0
-        assert io.read_json(tmp_path / "monodromy.json")["m"] == 3
+        assert json.loads((tmp_path / "monodromy.json").read_text())["m"] == 3
 
     def test_bisection_through_the_singular_value_exits_3(self, tmp_path, capsys):
         code = run(
@@ -383,6 +386,30 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, name):
     out, err = capsys.readouterr()
     assert out == "" and "does not fit" in err
     assert list(out_dir.iterdir()) == []
+
+
+# inputs refused before any output is written: sizes beyond physical memory
+# (above the 2^47-byte address space, so nothing is ever allocated), values
+# whose h^2 - k f^2 overflows, and an empty f range
+REFUSED = {
+    "diagram-resolution": (["diagram", "--resolution", "100000000000000"], "resolution="),
+    "monodromy-points": (["monodromy", "--points-per-arc", "100000000000000"], "points_per_arc="),
+    "classify-grid": (["classify", "--grid", "--resolution", "10000000"], "resolution="),
+    "rotation-h-1e200": (["rotation", "--h", "1e200", "--f", "0.5"], "overflows h^2 - k f^2"),
+    "monodromy-f-max-1e200": (["monodromy", "--f-max", "1e200"], "overflows h^2 - k f^2"),
+    "monodromy-f-max-1e154": (["monodromy", "--f-max", "1e154"], "overflows h^2 - k f^2"),
+    "diagram-empty-f-range": (["diagram", "--f-min", "0.5", "--f-max", "0.5", "--svg"],
+                              "f_min and f_max must differ"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_refused_input_exits_2_before_any_output(tmp_path, capsys, name):
+    argv, message = REFUSED[name]
+    assert run(tmp_path, *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_does_not_load_scipy():

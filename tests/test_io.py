@@ -127,10 +127,10 @@ def write_and_read(kind, path):
         return io.read_trajectory_csv(path)
     if kind == "diagram":
         io.write_diagram_csv(path, bifurcation_diagram(-4.0, resolution=21))
-        return io.read_diagram_csv(path)
+        return io.read_csv(path)
     report = continue_theta(table, loop_around_origin(table, c=0.5, f_max=1.6, points_per_arc=8))
     io.write_continuation_csv(path, report)
-    return None, io.read_continuation_csv(path)
+    return io.read_csv(path)
 
 
 @pytest.mark.parametrize("kind", ["trajectory", "empty-trajectory", "diagram", "continuation"])
@@ -141,7 +141,7 @@ def test_readers_return_the_written_columns(tmp_path, kind):
         "trajectory": {"k": -4.0, "n": 2},
         "empty-trajectory": {"k": -4.0, "n": 2},
         "diagram": {"k": -4.0},
-        "continuation": None,
+        "continuation": {},
     }[kind]
     written = written_columns(path)
     assert list(columns) == list(written)
@@ -190,6 +190,20 @@ def test_continuation_csv_bytes_match_the_csv_writer_form(tmp_path):
     io.write_continuation_csv(tmp_path / "got.csv", report)
     reference_continuation_csv(tmp_path / "ref.csv", report)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_read_trajectory_csv_is_read_csv():
+    # one reader, under the name plot calls it by
+    assert io.read_trajectory_csv is io.read_csv
+
+
+def test_samples_beyond_memory_rejected(tmp_path):
+    # refused before the file is opened or numpy allocates
+    table, start, _ = RUNS[0]
+    traj = simulate(table, start, max_reflections=1)
+    with pytest.raises(ValidationError, match=r"^samples_per_segment=10+ would take .*physical"):
+        io.write_trajectory_csv(tmp_path / "trajectory.csv", table, traj, 10**14)
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("count", [0, -1])

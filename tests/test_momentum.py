@@ -172,6 +172,16 @@ class TestBifurcationDiagram:
         with pytest.raises(ValidationError):
             bifurcation_diagram(K, resolution=1)
 
+    def test_empty_f_range_rejected(self):
+        # an empty range would draw an SVG whose viewBox has zero size
+        with pytest.raises(ValidationError, match="f_min and f_max must differ"):
+            bifurcation_diagram(K, 0.5, 0.5)
+
+    def test_resolution_beyond_memory_rejected(self):
+        # refused before numpy allocates: 10^14 samples exceed any address space
+        with pytest.raises(ValidationError, match=r"^resolution=10+ would take .*physical memory"):
+            bifurcation_diagram(K, resolution=10**14)
+
 
 def critical_point_residual(
     k: float,

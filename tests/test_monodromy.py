@@ -119,6 +119,12 @@ class TestRadialPeriodQuadrature:
         with pytest.raises(ValidationError):
             radial_period_quadrature(table, -0.5, 0.0)
 
+    @pytest.mark.parametrize("h,f", [(1e200, 0.5), (1e200, 1e100), (2e154, 0.5)])
+    def test_overflowing_value_rejected(self, h, f):
+        # h^2 - k f^2 overflows, so the closed form would take acosh(0)
+        with pytest.raises(ValidationError, match=r"^value \(.*\) overflows h\^2"):
+            radial_period_quadrature(BookTable(k=K, sheets=2), h, f)
+
 
 class TestPeriodColumns:
     def test_match_scalar_closed_form(self):
@@ -267,6 +273,11 @@ class TestLoopAroundOrigin:
         with pytest.raises(ValidationError):
             loop_around_origin(table, c=1.5)
 
+    def test_points_beyond_memory_rejected(self):
+        # refused before numpy allocates: 10^14 points exceed any address space
+        with pytest.raises(ValidationError, match=r"^points_per_arc=10+ would take .*physical"):
+            loop_around_origin(BookTable(k=K, sheets=1), points_per_arc=10**14)
+
 
 class TestContinueTheta:
     def test_single_sheet_monodromy(self):
@@ -361,6 +372,16 @@ class TestContinueTheta:
         table = BookTable(k=K, sheets=2)
         loop = loop_around_origin(table, c=0.5, f_max=1.5, points_per_arc=3)
         with pytest.raises(ConvergenceError):
+            continue_theta(table, loop)
+
+    @pytest.mark.parametrize("f_max", [1e200, 1e154])
+    def test_overflowing_waypoint_rejected(self, f_max):
+        # the closed forms would give NaN thetas, from which no m can be read
+        table = BookTable(k=K, sheets=2)
+        with pytest.raises(ValidationError, match=r"^loop corner \(.*\) overflows h\^2"):
+            loop_around_origin(table, f_max=f_max)
+        loop = [(-0.1, -0.5), (f_max * f_max, 0.5), (0.2, 0.1), (f_max, 0.0)]
+        with pytest.raises(ValidationError, match=r"^loop waypoint \(.*, 0\.5\) overflows h\^2"):
             continue_theta(table, loop)
 
     def test_singular_midpoint_is_named(self):
