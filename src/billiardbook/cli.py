@@ -163,9 +163,11 @@ class _Config:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file stands in the way
+        raise ValidationError(f"cannot use --out-dir {out}: {exc}") from None
     return out
 
 
@@ -197,6 +199,8 @@ def _cmd_simulate(args, cfg: _Config, out: Path) -> int:
     sheet = cfg.get("sheet", 1)
     if initial is None:
         seed = cfg.get("seed", 0)
+        if seed < 0:
+            raise ValidationError(f"--seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         r = 0.9 * math.sqrt(rng.uniform())
         ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -308,8 +312,12 @@ def _cmd_monodromy(args, cfg: _Config, out: Path) -> int:
 
 
 def _cmd_plot(args, cfg: _Config, out: Path) -> int:
-    meta, columns = io.read_trajectory_csv(args.trajectory)
-    table = BookTable(k=meta["k"], sheets=meta["n"])
+    try:
+        meta, columns = io.read_trajectory_csv(args.trajectory)
+        table = BookTable(k=meta["k"], sheets=meta["n"])
+        columns = {name: columns[name] for name in ("segment", "sheet", "x", "y", "h", "f")}
+    except (OSError, ValueError, KeyError) as exc:  # KeyError: no k, n or column of that name
+        raise ValidationError(f"cannot read --trajectory {args.trajectory}: {exc}") from None
     polylines, inner = [], None
     if len(columns["segment"]):
         # one polyline per segment, through the sampled CSV rows themselves
@@ -319,6 +327,8 @@ def _cmd_plot(args, cfg: _Config, out: Path) -> int:
         h, f = float(columns["h"][0]), float(columns["f"][0])
         inner = inner_radius(h, f, table.k) if in_image(h, f, table.k) else None
     output = args.output or out / "orbit.svg"
+    if output.is_dir():
+        raise ValidationError(f"cannot write --output {output}: it is a directory")
     io.write_polylines_svg(output, polylines, inner=inner)
     print(output)
     return 0

@@ -28,9 +28,11 @@ def fmt(x: float) -> str:
 
 
 def _write_rows(fh, line: str, rows) -> None:
-    """Write ``line % row`` for every row of a 2-D array, in one write."""
+    """Write ``line % row`` for every row of a 2-D array, _CHUNK rows per write."""
     rows = np.asarray(rows)
-    fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+    for lo in range(0, len(rows), _CHUNK):
+        block = rows[lo : lo + _CHUNK]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 #: columns read_csv() returns as ints; every other column is a float

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import flow_free, time_to_boundary
 from .model import BookTable, ConvergenceError, PhaseState, ValidationError, require_fits
-from .momentum import FIBER_TAGS, FiberTag, classify_fiber, classify_grid, inner_radius_squared
+from .momentum import FIBER_TAGS, FiberTag, classify_fiber, classify_grid
 
 #: unwrapping is unambiguous only if dphi steps stay below this
 UNWRAP_STEP = math.pi / 2
@@ -39,6 +39,8 @@ MAX_REFINE_DEPTH = 48
 #: theta_center_limit's largest f, halved CENTER_LEVELS - 1 times
 CENTER_F_START = 0.4
 CENTER_LEVELS = 7
+#: refuses a value whose c = cosh(w T_r) is not above 1: the root overflowed, or c rounded to 1
+_NO_PERIOD = "{} ({}, {}) overflows h^2 - k f^2 or rounds T_r to 0 (cosh(w T_r) = {})"
 
 
 @dataclass(frozen=True)
@@ -89,30 +91,37 @@ def radial_period_quadrature(table: BookTable, h: float, f: float) -> PeriodSamp
     per-call cost is several times the work, and on a loop one array pass is
     far cheaper than a call per waypoint.
     """
-    fiber = classify_fiber(table, h, f)
-    if fiber.tag is not FiberTag.REGULAR_TORUS:
-        raise ValidationError(
-            f"({h}, {f}) is not a regular value (fiber: {fiber.tag.value})"
-        )
+    _require_regular_value(table, h, f)
     k = table.k
-    _require_finite_root(k, h, f)
     w = math.sqrt(-k)
-    alpha = math.sqrt(h * h - k * f * f) / -k  # w^2 = -k
-    gamma = h / k
-    t_r = math.acosh((1.0 - gamma) / alpha) / w
+    root = math.sqrt(h * h - k * f * f)
+    cosh_wt = (1.0 - h / k) / (root / -k)  # (1 - gamma)/alpha, w^2 = -k
+    if not cosh_wt > 1.0:
+        raise ValidationError(_NO_PERIOD.format("value", h, f, cosh_wt))
+    t_r = math.acosh(cosh_wt) / w
     if f == 0.0 and h > 0.0:
         dphi = math.pi
     else:
-        rho0 = inner_radius_squared(h, f, k)
+        rho0 = f * f / (root + h) if h > 0.0 else (root - h) / -k  # inner_radius_squared()
         dphi = 2.0 * math.atan2(f * math.tanh(w * t_r / 2.0), w * rho0)
     return PeriodSample(h, f, t_r, dphi, table.sheets * dphi)
 
 
-def _period_columns(k: float, h: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T_r and dphi of radial_period_quadrature() at arrays of regular values, branches as masks."""
+def _period_columns(k: float, h, f, what="value", error=ValidationError) -> tuple[np.ndarray, ...]:
+    """T_r and dphi of radial_period_quadrature() at arrays of values, branches as masks.
+
+    Raises error, naming what, at the first value whose cosh(w T_r) is not above 1, before
+    computing on it; the caller refuses the other non-regular values, such as (0, 0).
+    """
     w = math.sqrt(-k)
-    root = np.sqrt(h * h - k * f * f)
-    t_r = np.arccosh((1.0 - h / k) / (root / -k)) / w
+    with np.errstate(all="ignore"):  # an overflow is what the gate looks for; (0, 0) gives c = inf
+        root = np.sqrt(h * h - k * f * f)
+        cosh_wt = (1.0 - h / k) / (root / -k)
+    bad = np.flatnonzero(~(cosh_wt > 1.0))
+    if bad.size:
+        i = bad[0]
+        raise error(_NO_PERIOD.format(what, h[i], f[i], cosh_wt[i]))
+    t_r = np.arccosh(cosh_wt) / w
     # rho0 as inner_radius_squared() takes it, without its cancellation for h > 0
     rho0 = (root - h) / -k
     right = h > 0.0
@@ -122,13 +131,11 @@ def _period_columns(k: float, h: np.ndarray, f: np.ndarray) -> tuple[np.ndarray,
     return t_r, dphi
 
 
-def _require_finite_root(k: float, h, f, what: str = "value") -> None:
-    """Refuse the first (h, f), floats or arrays, whose h^2 - k f^2 is not
-    finite: every closed form takes its root, which overflows near 1e154."""
-    fits = h * h - k * f * f < math.inf  # false for NaN too; a bool for floats
-    if fits is not True and (fits is False or not fits.all()):
-        i = np.argmin(fits)  # the first value that does not fit
-        raise ValidationError(f"{what} ({np.ravel(h)[i]}, {np.ravel(f)[i]}) overflows h^2 - k f^2")
+def _require_regular_value(table: BookTable, h: float, f: float) -> None:
+    """Refuse one value (h, f) that is not a regular value, naming its fiber."""
+    tag = classify_fiber(table, h, f).tag
+    if tag is not FiberTag.REGULAR_TORUS:
+        raise ValidationError(f"({h}, {f}) is not a regular value (fiber: {tag.value})")
 
 
 def _require_regular(table: BookTable, h, f, what="loop waypoint", error=ValidationError) -> None:
@@ -136,11 +143,8 @@ def _require_regular(table: BookTable, h, f, what="loop waypoint", error=Validat
     codes = classify_grid(table, h, f)
     bad = np.flatnonzero(codes != FIBER_TAGS.index(FiberTag.REGULAR_TORUS))
     if bad.size:
-        i = bad[0]
-        raise error(
-            f"{what} ({h[i]}, {f[i]}) is not a regular value "
-            f"(fiber: {FIBER_TAGS[codes[i]].value})"
-        )
+        i, tag = bad[0], FIBER_TAGS[codes[bad[0]]]
+        raise error(f"{what} ({h[i]}, {f[i]}) is not a regular value (fiber: {tag.value})")
 
 
 def boundary_state(table: BookTable, h: float, f: float) -> PhaseState:
@@ -159,9 +163,7 @@ def radial_period_simulated(table: BookTable, h: float, f: float) -> PeriodSampl
     the arc's endpoints. One arc advances by |dphi| <= pi with the sign of f, which
     makes that angle unambiguous.
     """
-    fiber = classify_fiber(table, h, f)
-    if fiber.tag is not FiberTag.REGULAR_TORUS:
-        raise ValidationError(f"({h}, {f}) is not a regular value")
+    _require_regular_value(table, h, f)
     a = boundary_state(table, h, f)
     t_r = time_to_boundary(a, table.k)
     b = flow_free(a, t_r, table.k)
@@ -179,7 +181,8 @@ def loop_around_origin(
 
     The left part is the arc of the parabola h = (f^2 + c^2 k)/(2c) of
     constant inner radius r0 = c; the right part is the vertical segment
-    h = const joining the arc endpoints. Every waypoint is a regular value.
+    h = const joining the arc endpoints. Every waypoint is a regular value. The
+    corner has the loop's largest h and |f|, so its least cosh(w T_r): it is gated first.
     """
     k = table.k
     if not 0.0 < c < 1.0:
@@ -191,7 +194,7 @@ def loop_around_origin(
         raise ValidationError(
             f"loop does not enclose (0, 0): need f_max > c*sqrt(-k) = {c * math.sqrt(-k):g}"
         )
-    _require_finite_root(k, h_right, f_max, "loop corner")  # the largest h^2 - k f^2
+    _period_columns(k, np.array([h_right]), np.array([f_max]), "loop corner")
     if points_per_arc < 2:
         raise ValidationError("points_per_arc must be >= 2")
     require_fits(32 * int(points_per_arc), "points_per_arc=%r", points_per_arc)  # h, f a waypoint
@@ -205,16 +208,6 @@ def loop_around_origin(
     f = np.concatenate((f_arc, f_segment))
     _require_regular(table, h, f)
     return list(zip(h.tolist(), f.tolist()))
-
-
-def _labels_from_m(m: int) -> MoleculeLabels:
-    # h > 0 gluing matrix [[1, m], [0, -1]]: r = alpha/beta mod 1 = 1/m mod 1
-    return MoleculeLabels(
-        r_hneg=math.inf,
-        r_hpos=Fraction(1, m) % 1,
-        epsilon=1,
-        derived_from_m=m,
-    )
 
 
 def _unwrap(dphi: np.ndarray) -> np.ndarray:
@@ -239,10 +232,8 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
     if len(loop) < 3:
         raise ValidationError("loop needs at least 3 waypoints")
     h, f = np.asarray(loop, dtype=float).T
-    with np.errstate(over="ignore"):  # an overflow is what the check looks for
-        _require_finite_root(table.k, h, f, "loop waypoint")
+    t_r, dphi = _period_columns(table.k, h, f, "loop waypoint")
     _require_regular(table, h, f)
-    t_r, dphi = _period_columns(table.k, h, f)
     # close the loop: its last sample is loop[0] again
     h, f, t_r, dphi = (np.append(v, v[0]) for v in (h, f, t_r, dphi))
 
@@ -259,8 +250,9 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
                 f"and ({h[i + 1]}, {f[i + 1]})"
             )
         mid_h, mid_f = (h[gaps] + h[gaps + 1]) / 2.0, (f[gaps] + f[gaps + 1]) / 2.0
-        _require_regular(table, mid_h, mid_f, "bisection midpoint", ConvergenceError)
-        mids = (mid_h, mid_f, *_period_columns(table.k, mid_h, mid_f))
+        midpoint = ("bisection midpoint", ConvergenceError)
+        mids = (mid_h, mid_f, *_period_columns(table.k, mid_h, mid_f, *midpoint))
+        _require_regular(table, mid_h, mid_f, *midpoint)
         h, f, t_r, dphi = (np.insert(v, gaps + 1, new) for v, new in zip((h, f, t_r, dphi), mids))
 
     n = table.sheets
@@ -270,8 +262,7 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
     # m is as trustworthy as the largest step is clear of the unwrapping limit
     delta = unwrapped[-1] - unwrapped[0]
     m = round(delta / (2.0 * math.pi))
-    gluing = ((1, m), (0, -1)) if m != 0 else None
-    labels = _labels_from_m(m) if m >= 1 else None
+    # h > 0 gluing matrix [[1, m], [0, -1]]: r = alpha/beta mod 1 = 1/m mod 1
     return MonodromyReport(
         loop=tuple(loop),
         samples=tuple(
@@ -282,8 +273,8 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
         m=m,
         unwrap_margin=float(steps.max()) / UNWRAP_STEP,
         monodromy_matrix=((1, 0), (m, 1)),
-        gluing_matrix_hpos=gluing,
-        labels=labels,
+        gluing_matrix_hpos=((1, m), (0, -1)) if m != 0 else None,
+        labels=MoleculeLabels(math.inf, Fraction(1, m) % 1, 1, m) if m >= 1 else None,
     )
 
 
@@ -312,15 +303,11 @@ def theta_center_limit(table: BookTable, h: float) -> float:
 
     Cross-checks the center-passage convention: the limit is n * pi.
     """
-    thetas = [
+    row = [
         radial_period_quadrature(table, h, CENTER_F_START * 0.5**j).theta
         for j in range(CENTER_LEVELS)
     ]
-    table_r = [thetas]
-    for j in range(1, CENTER_LEVELS):
-        prev = table_r[-1]
+    for j in range(1, CENTER_LEVELS):  # each row of the Richardson table from the last
         fac = 2.0**j
-        table_r.append(
-            [(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)]
-        )
-    return table_r[-1][0]
+        row = [(fac * b - a) / (fac - 1.0) for a, b in zip(row, row[1:])]
+    return row[0]

@@ -400,6 +400,15 @@ REFUSED = {
     "monodromy-f-max-1e154": (["monodromy", "--f-max", "1e154"], "overflows h^2 - k f^2"),
     "diagram-empty-f-range": (["diagram", "--f-min", "0.5", "--f-max", "0.5", "--svg"],
                               "f_min and f_max must differ"),
+    # cosh(w T_r) rounds to 1 or below, so T_r and dphi would read 0 or acosh fail
+    "rotation-h-1e150": (["rotation", "--h", "1e150", "--f", "0.5"], "rounds T_r to 0"),
+    "rotation-h-1e16-f-1e8": (["rotation", "--h", "1e16", "--f", "1e8"], "rounds T_r to 0"),
+    "rotation-k-1e-20": (["rotation", "-k", "-1e-20", "--h", "0.3", "--f", "0.5"],
+                         "rounds T_r to 0"),
+    "monodromy-f-max-1e8": (["monodromy", "--f-max", "1e8"], "loop corner (1e+16, "),
+    "monodromy-f-max-1e10": (["monodromy", "--f-max", "1e10"], "loop corner (1e+20, "),
+    "simulate-seed-negative": (["simulate", "--seed", "-1", "--reflections", "3"],
+                               "--seed must be non-negative"),
 }
 
 
@@ -419,3 +428,49 @@ def test_cli_import_does_not_load_scipy():
     code = "import sys, billiardbook.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_negative_seed_from_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1, "reflections": 3}))
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out-dir", str(out), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed must be non-negative") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def _plot_argv(tmp_path, trajectory):
+    return ["--out-dir", str(tmp_path / "out"), "plot", "--trajectory", str(trajectory)]
+
+
+UNUSABLE_PATHS = {
+    # a file where the output directory should be
+    "out-dir-is-a-file": (lambda p: ["--out-dir", str(p / "file"), "eigen"], "--out-dir"),
+    "out-dir-under-a-file": (lambda p: ["--out-dir", str(p / "file/sub"), "eigen"], "--out-dir"),
+    "trajectory-missing": (lambda p: _plot_argv(p, p / "missing.csv"), "--trajectory"),
+    "trajectory-is-a-directory": (lambda p: _plot_argv(p, p / "dir"), "--trajectory"),
+    "trajectory-not-a-trajectory": (lambda p: _plot_argv(p, p / "other.csv"), "--trajectory"),
+    "trajectory-without-columns": (lambda p: _plot_argv(p, p / "header.csv"), "--trajectory"),
+    "output-is-a-directory": (
+        lambda p: _plot_argv(p, p / "trajectory.csv") + ["--output", str(p / "dir")], "--output"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UNUSABLE_PATHS)
+def test_unusable_user_path_exits_2(tmp_path, capsys, name):
+    argv, option = UNUSABLE_PATHS[name]
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "other.csv").write_text("a,b\n1,2\n")
+    (tmp_path / "header.csv").write_text("# billiardbook trajectory k=-1 n=2\nsegment,t\n0,0\n")
+    assert main(["--out-dir", str(tmp_path), "simulate", "--seed", "1", "--reflections", "3"]) == 0
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and option in err and err.count("\n") == 1
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [
+        p for p in before if p.is_file()
+    ]

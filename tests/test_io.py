@@ -1,6 +1,7 @@
 """Writers against per-row sampling of each segment and against csv.writer."""
 
 import csv
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -18,6 +19,8 @@ from billiardbook import (
     sample_segment,
     simulate,
 )
+from billiardbook import cli
+from billiardbook.model import require_fits
 
 RUNS = [
     # numpy columns, reflection-stopped
@@ -213,3 +216,34 @@ def test_fewer_than_one_sample_per_segment_rejected(tmp_path, count):
     with pytest.raises(ValidationError, match="samples per segment must be at least 1"):
         io.write_trajectory_csv(tmp_path / "trajectory.csv", table, traj, count)
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+WRITER_RUNS = {
+    "classification-400x400": ["classify", "--grid", "--resolution", "400"],
+    # one segment of 20 000 samples: its rows are formatted _CHUNK at a time
+    "trajectory-one-segment": [
+        "simulate", "--seed", "1", "--reflections", "1", "--samples-per-segment", "20000"
+    ],
+    "trajectory-2000-reflections": ["simulate", "--seed", "1", "--reflections", "2000"],
+}
+
+
+@pytest.mark.parametrize("name", WRITER_RUNS)
+def test_writer_temporaries_stay_near_the_counted_bytes(tmp_path, monkeypatch, capsys, name):
+    # the size check counts the float64 columns; formatting them as one
+    # text would hold about 8.5 times that in Python floats and strings
+    counted = []
+
+    def record(size, what, *args):
+        counted.append(size)
+        require_fits(size, what, *args)
+
+    monkeypatch.setattr(cli, "require_fits", record)
+    monkeypatch.setattr(io, "require_fits", record)
+    tracemalloc.start()
+    try:
+        assert cli.main(["--out-dir", str(tmp_path)] + WRITER_RUNS[name]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1 and peak <= 5 * counted[0]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +125,12 @@ class TestRadialPeriodQuadrature:
         # h^2 - k f^2 overflows, so the closed form would take acosh(0)
         with pytest.raises(ValidationError, match=r"^value \(.*\) overflows h\^2"):
             radial_period_quadrature(BookTable(k=K, sheets=2), h, f)
+
+    @pytest.mark.parametrize("k,h,f", [(K, 1e16, 0.5), (K, 1e16, 1e8), (-1e-20, 0.3, 0.5)])
+    def test_value_whose_period_rounds_away_rejected(self, k, h, f):
+        # cosh(w T_r) rounds to 1 or just below: acosh would give T_r = 0 or fail
+        with pytest.raises(ValidationError, match=r"^value \(.*\) .* rounds T_r to 0"):
+            radial_period_quadrature(BookTable(k=k, sheets=2), h, f)
 
 
 class TestPeriodColumns:
@@ -273,6 +280,10 @@ class TestLoopAroundOrigin:
         with pytest.raises(ValidationError):
             loop_around_origin(table, c=1.5)
 
+    def test_corner_whose_period_rounds_away_is_named(self):
+        with pytest.raises(ValidationError, match=r"^loop corner \(1e\+16, 100000000\.0\) "):
+            loop_around_origin(BookTable(k=K, sheets=2), f_max=1e8)
+
     def test_points_beyond_memory_rejected(self):
         # refused before numpy allocates: 10^14 points exceed any address space
         with pytest.raises(ValidationError, match=r"^points_per_arc=10+ would take .*physical"):
@@ -383,6 +394,20 @@ class TestContinueTheta:
         loop = [(-0.1, -0.5), (f_max * f_max, 0.5), (0.2, 0.1), (f_max, 0.0)]
         with pytest.raises(ValidationError, match=r"^loop waypoint \(.*, 0\.5\) overflows h\^2"):
             continue_theta(table, loop)
+
+    def test_waypoint_whose_period_rounds_away_rejected(self):
+        table = BookTable(k=K, sheets=2)
+        loop = [(-0.1, -0.5), (1e16, 0.5), (0.2, 0.1)]
+        with pytest.raises(ValidationError, match=r"^loop waypoint \(1e\+16, 0\.5\) .* rounds T_r"):
+            continue_theta(table, loop)
+
+    def test_overflowing_f_refused_before_any_warning(self):
+        table = BookTable(k=K, sheets=2)
+        loop = [(-0.1, -0.5), (0.3, 1e200), (0.2, 0.1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^loop waypoint \(0\.3, 1e\+200\) "):
+                continue_theta(table, loop)
 
     def test_singular_midpoint_is_named(self):
         table = BookTable(k=K, sheets=2)
