@@ -327,9 +327,10 @@ def _cmd_plot(args, cfg: _Config, out: Path) -> int:
         h, f = float(columns["h"][0]), float(columns["f"][0])
         inner = inner_radius(h, f, table.k) if in_image(h, f, table.k) else None
     output = args.output or out / "orbit.svg"
-    if output.is_dir():
-        raise ValidationError(f"cannot write --output {output}: it is a directory")
-    io.write_polylines_svg(output, polylines, inner=inner)
+    try:
+        io.write_polylines_svg(output, polylines, inner=inner)
+    except ValidationError as exc:  # a path that cannot take the file
+        raise ValidationError(f"--output: {exc}") from None
     print(output)
     return 0
 

@@ -19,8 +19,12 @@ The flow and the wall are invariant under rotation, and (H, F) fixes a
 wall-to-wall arc up to rotation, so after the first wall hit every arc is the
 previous one turned by the same angle ``dphi`` and lasting the same ``T_r``.
 ``simulate`` solves two arcs and emits hit j as the first hit rotated by
-``j * dphi``, in blocks of ``_CHUNK`` hits: no hit is computed from the one
-before, so rounding error does not grow with the number of reflections.
+``j * dphi``, in blocks of ``_CHUNK`` hits. The cosines and sines of
+``i * dphi``, ``i < _CHUNK``, are taken once per run, as one table: block
+``lo`` turns the first hit by ``lo * dphi`` and then by that table, so a run
+of at most ``_CHUNK`` hits turns the first hit once per row. Each hit is
+two turns from the first, never computed from the one before, so rounding
+error does not grow with the number of reflections.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BookTable, PhaseState, ValidationError, require_fits
+from .model import BookTable, ConvergenceError, PhaseState, ValidationError, require_fits
 from .momentum import h_and_f, momentum_map
 
 #: a state with |r^2 - 1| below this is on the wall: reflect() accepts it, and
@@ -349,22 +353,22 @@ def _bounce_map(
     start, end = np.empty((rows, 4)), np.empty((rows, 4))
     start[0] = (initial.x, initial.y, initial.vx, initial.vy)
     row = (hit.x, hit.y, hit.vx, hit.vy)
-    # a block of hits at a time, so the temporaries stay small; each element
-    # gets the bits it would get in one pass over all hits
+    # a block at a time, so the temporaries stay small: block lo turns the hit
+    # by lo*dphi, then by the table of turns i*dphi that every block shares
+    turns = np.arange(min(hits, _CHUNK)) * dphi
+    cos, sin = np.cos(turns), np.sin(turns)
     for lo in range(0, hits, _CHUNK):
         hi = min(lo + _CHUNK, hits)
-        angles = np.arange(lo, hi, dtype=float) * dphi
-        x, y, vx, vy = _rotated(*row, np.cos(angles), np.sin(angles))
-        block = end[lo:hi]
-        block[:, 0], block[:, 1], block[:, 2], block[:, 3] = x, y, vx, vy
+        first = _rotated(*row, math.cos(lo * dphi), math.sin(lo * dphi)) if lo else row
+        x, y, vx, vy = _rotated(*first, cos[: hi - lo], sin[: hi - lo])
+        end[lo:hi].T[:] = x, y, vx, vy
         # every start after the first is the reflection of the previous hit,
         # by reflect()'s formula, so it sits exactly where that hit is; the
         # last hit of a run stopped by max_reflections starts nothing
         m = min(hi, rows - 1) - lo
         x, y, vx, vy = x[:m], y[:m], vx[:m], vy[:m]
-        block = start[lo + 1 : lo + 1 + m]
-        block[:, 0], block[:, 1] = x, y
-        _, block[:, 2], block[:, 3] = _reflected(x, y, vx, vy, np.sqrt(x * x + y * y))
+        _, vx, vy = _reflected(x, y, vx, vy, np.sqrt(x * x + y * y))
+        start[lo + 1 : lo + 1 + m].T[:] = x, y, vx, vy
     cycle = (np.arange(table.sheets) + (initial.sheet - 1)) % table.sheets + 1
     sheet = np.tile(cycle, -(-rows // table.sheets))[:rows]
     duration = np.full(rows, t_r)
@@ -394,6 +398,8 @@ def simulate(
     rotated by a multiple of dphi, one sheet further on. Each segment ends at
     the wall (reflected) except possibly the last, which max_time cuts or
     which ends at a grazing hit; ``stop_reason`` says which stop came first.
+    A first wall hit off the wall (|r^2 - 1| not below BOUNDARY_TOL, which
+    the wall-hit time misses at large |v|/w) raises ConvergenceError.
     """
     if max_reflections is None and max_time is None:
         raise ValidationError("a stop condition (max_reflections or max_time) is required")
@@ -438,6 +444,9 @@ def simulate(
     if max_time is not None and t0 >= max_time:
         return _arcs([(initial, max_time, flow_free(initial, max_time, k))], 0, "time")
     hit = flow_free(initial, t0, k)
+    residual = abs(hit.r2 - 1.0)
+    if not residual < BOUNDARY_TOL:  # the wall-hit solver failed: no input is at fault
+        raise ConvergenceError(f"the first wall hit is off the wall: |r^2 - 1| = {residual:.3g}")
     arcs = [(initial, t0, hit)]
     if _is_grazing(hit):
         return _grazed(arcs, max_time, k)

@@ -5,7 +5,9 @@ _write_rows(), with 17 significant digits so conservation stays auditable;
 JSON reports by json_text(); SVG polylines by _polyline(), in a fixed
 template that keeps figures byte-deterministic. read_csv() reads the
 trajectory, diagram and continuation CSVs back as numpy columns by name;
-classification.csv, whose tag column is text, does not read back.
+classification.csv, whose tag column is text, does not read back. Every
+writer opens its file through _create(), which refuses a path that cannot
+take the file (a directory, a missing parent, no permission) as bad input.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ from .monodromy import MonodromyReport
 
 def fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _create(path: str | Path, newline: str | None = None):
+    """open(path, "w"); a path that cannot take the file is bad input."""
+    try:
+        return open(path, "w", newline=newline)
+    except (IsADirectoryError, NotADirectoryError, FileNotFoundError, PermissionError) as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_rows(fh, line: str, rows) -> None:
@@ -88,7 +98,7 @@ def write_trajectory_csv(
     # each segment's start time: the durations before it, summed in order
     t_start = np.cumsum(np.concatenate(([0.0], trajectory.duration[:-1])))
     sheet = trajectory.sheet
-    with open(path, "w", newline="") as fh:
+    with _create(path, "") as fh:
         fh.write(f"# billiardbook trajectory k={fmt(table.k)} n={table.sheets}\n")
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for lo, tau, states in _sample_trajectory(trajectory, k, count):
@@ -117,7 +127,7 @@ def write_diagram_csv(path: str | Path, diagram: BifurcationDiagram) -> None:
     h0, f0 = diagram.isolated_point
     rows = np.column_stack((diagram.f, diagram.h, np.zeros(diagram.f.size)))
     rows = np.vstack((rows, (f0, h0, 1)))
-    with open(path, "w", newline="") as fh:
+    with _create(path, "") as fh:
         fh.write(f"# billiardbook diagram k={fmt(diagram.k)}\n")
         fh.write(",".join(DIAGRAM_COLUMNS) + "\r\n")
         _write_rows(fh, "%.17g,%.17g,%d\r\n", rows)
@@ -141,7 +151,7 @@ def write_classification_csv(
     # each h and f becomes a Python float once, not once per grid cell
     h, f = np.broadcast_arrays(h.astype(object)[:, None], f.astype(object))
     rows = np.column_stack((h.ravel(), f.ravel(), labels[codes].ravel()))
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write("h,f,tag,pinches\n")
         _write_rows(fh, "%.17g,%.17g,%s\n", rows)
 
@@ -156,7 +166,7 @@ def write_continuation_csv(path: str | Path, report: MonodromyReport) -> None:
     """One row per continuation sample: its index, then 17-digit floats."""
     samples = [(s.h, s.f, s.T_r, s.dphi) for s in report.samples]
     rows = np.column_stack((np.arange(len(samples)), samples, report.theta_unwrapped))
-    with open(path, "w", newline="") as fh:
+    with _create(path, "") as fh:
         fh.write(",".join(CONTINUATION_COLUMNS) + "\r\n")
         _write_rows(fh, "%d" + ",%.17g" * 5 + "\r\n", rows)
 
@@ -195,7 +205,8 @@ def json_text(doc: dict) -> str:
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json_text(doc))
+    with _create(path) as fh:
+        fh.write(json_text(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +274,8 @@ def write_polylines_svg(
         color = _PALETTE[(sheet - 1) % len(_PALETTE)]
         lines += [_polyline(points, color, 0.006) for points in per_sheet[sheet]]
     lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _create(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_diagram_svg(path: str | Path, diagram: BifurcationDiagram) -> None:
@@ -277,4 +289,5 @@ def write_diagram_svg(path: str | Path, diagram: BifurcationDiagram) -> None:
     h0, f0 = diagram.isolated_point
     lines.append(f'<circle cx="{f0:g}" cy="{-h0:g}" r="0.02" fill="#d62728"/>')
     lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _create(path) as fh:
+        fh.write("\n".join(lines) + "\n")

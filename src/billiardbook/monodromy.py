@@ -111,7 +111,8 @@ def _period_columns(k: float, h, f, what="value", error=ValidationError) -> tupl
     """T_r and dphi of radial_period_quadrature() at arrays of values, branches as masks.
 
     Raises error, naming what, at the first value whose cosh(w T_r) is not above 1, before
-    computing on it; the caller refuses the other non-regular values, such as (0, 0).
+    computing on it: by its fiber where h^2 - k f^2 is finite and the fiber is not a regular
+    torus. The caller refuses the other non-regular values, such as (0, 0).
     """
     w = math.sqrt(-k)
     with np.errstate(all="ignore"):  # an overflow is what the gate looks for; (0, 0) gives c = inf
@@ -120,6 +121,8 @@ def _period_columns(k: float, h, f, what="value", error=ValidationError) -> tupl
     bad = np.flatnonzero(~(cosh_wt > 1.0))
     if bad.size:
         i = bad[0]
+        if math.isfinite(root[i]):  # the fiber's tag does not depend on the sheet count
+            _require_regular(BookTable(k), h[i : i + 1], f[i : i + 1], what, error)
         raise error(_NO_PERIOD.format(what, h[i], f[i], cosh_wt[i]))
     t_r = np.arccosh(cosh_wt) / w
     # rho0 as inner_radius_squared() takes it, without its cancellation for h > 0

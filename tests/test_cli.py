@@ -474,3 +474,40 @@ def test_unusable_user_path_exits_2(tmp_path, capsys, name):
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == [
         p for p in before if p.is_file()
     ]
+
+
+UNWRITABLE_OUTPUTS = {
+    # plot's --output in a directory that does not exist
+    "output-in-a-missing-directory": (
+        lambda p: ["--out-dir", str(p), "plot", "--trajectory", str(p / "trajectory.csv"),
+                   "--output", str(p / "nodir/x.svg")],
+        "--output: cannot write ", "nodir/x.svg",
+    ),
+    # a directory where simulate writes trajectory.csv
+    "trajectory-csv-is-a-directory": (
+        lambda p: ["--out-dir", str(p / "taken"), "simulate", "--seed", "1", "--reflections", "3"],
+        "cannot write ", "taken/trajectory.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_OUTPUTS)
+def test_output_path_that_cannot_take_the_file_exits_2(tmp_path, capsys, name):
+    argv, message, path = UNWRITABLE_OUTPUTS[name]
+    assert main(["--out-dir", str(tmp_path), "simulate", "--seed", "1", "--reflections", "3"]) == 0
+    (tmp_path / "taken/trajectory.csv").mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: " + message) and err.count("\n") == 1
+    assert path in err and sorted(tmp_path.rglob("*")) == before
+
+
+def test_first_hit_off_the_wall_exits_3(tmp_path, capsys):
+    # |v|/w = 1e6: the wall-hit solver misses the wall, which no input is at fault for
+    code = run(tmp_path, "simulate", "--initial", "0.3", "0.1", "6e5", "-8e5", "--reflections", "10")
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("convergence failure: the first wall hit is off the wall")
+    assert "|r^2 - 1| = " in err and not (tmp_path / "trajectory.csv").exists()

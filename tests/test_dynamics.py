@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from billiardbook import (
     BookTable,
+    ConvergenceError,
     PhaseState,
     Trajectory,
     TrajectorySegment,
@@ -21,7 +22,7 @@ from billiardbook import (
     simulate,
     time_to_boundary,
 )
-from billiardbook.dynamics import _CHUNK
+from billiardbook.dynamics import _CHUNK, _rotated
 
 K = -1.0
 KS = (-0.25, -1.0, -4.0)
@@ -83,6 +84,20 @@ def segment_min_radii(trajectory, k):
     if trajectory.boundary_orbit:
         radii[-1] = 1.0
     return radii
+
+
+def first_hit_and_turn(table, state):
+    """The first wall hit of a run and the turn dphi between hits, as simulate() finds them."""
+    hit = flow_free(state, time_to_boundary(state, table.k), table.k)
+    start = reflect(table, hit)
+    end = flow_free(start, time_to_boundary(start, table.k), table.k)
+    return hit, math.atan2(hit.x * end.y - hit.y * end.x, hit.x * end.x + hit.y * end.y)
+
+
+def turned_hits(hit, dphi, j):
+    """Hit j of a run as one turn of the first hit by j*dphi, one row per j."""
+    turns = np.asarray(j, dtype=float) * dphi
+    return np.column_stack(_rotated(*state_row(hit), np.cos(turns), np.sin(turns)))
 
 
 def time_reversed(state):
@@ -479,6 +494,25 @@ class TestBounceMap:
             # every start after the first sits on the previous hit, bit for bit
             assert (traj.start[1:, :2].view(np.uint64) == traj.end[:-1, :2].view(np.uint64)).all()
 
+    def test_first_block_turns_the_first_hit(self):
+        # a run of one block keeps the bits of one turn of the hit per row
+        table, start = BookTable(k=-4.0, sheets=3), PhaseState(2, 0.2, -0.4, 0.9, 0.3)
+        hit, dphi = first_hit_and_turn(table, start)
+        traj = simulate(table, start, max_reflections=_CHUNK)
+        expected = turned_hits(hit, dphi, np.arange(_CHUNK))
+        assert (traj.end.view(np.uint64) == expected.view(np.uint64)).all()
+
+    def test_block_edges_of_a_long_run_match_one_turn_per_hit(self):
+        # a later block turns the hit twice, by lo*dphi and then from the shared
+        # table; both forms round j*dphi, so they part by eps times the angle
+        table, start = BookTable(k=-4.0, sheets=3), PhaseState(2, 0.2, -0.4, 0.9, 0.3)
+        hit, dphi = first_hit_and_turn(table, start)
+        traj = simulate(table, start, max_reflections=1_000_000)
+        lo = np.arange(_CHUNK, 1_000_000, _CHUNK)
+        j = np.concatenate((lo - 1, lo))
+        bound = 64 * np.finfo(float).eps * np.maximum(1.0, j * abs(dphi))
+        assert (np.abs(traj.end[j] - turned_hits(hit, dphi, j)) <= bound[:, None]).all()
+
     def test_memory_peak_is_the_columns(self):
         table = BookTable(k=-1.0, sheets=3)
         tracemalloc.start()
@@ -612,6 +646,13 @@ class TestStopReason:
         assert [seg.reflected for seg in traj] == [True]
         with pytest.raises(ValidationError, match="stable manifold"):
             simulate(table, reflect(table, traj[0].end), max_reflections=1)
+
+    def test_first_hit_off_the_wall_is_a_convergence_failure(self):
+        # at |v|/w = 1e6 the wall-hit time loses digits, so the hit misses
+        # the wall; that is the solver's failure, not bad input
+        start = PhaseState(1, 0.3, 0.1, 6e5, -8e5)
+        with pytest.raises(ConvergenceError, match=r"off the wall: \|r\^2 - 1\| = \d\.\d+e-\d+$"):
+            simulate(TABLE, start, max_reflections=10)
 
     def test_initial_state_on_the_stable_manifold_rejected(self):
         with pytest.raises(ValidationError, match="stable manifold"):

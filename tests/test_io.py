@@ -1,6 +1,7 @@
 """Writers against per-row sampling of each segment and against csv.writer."""
 
 import csv
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -247,3 +248,31 @@ def test_writer_temporaries_stay_near_the_counted_bytes(tmp_path, monkeypatch, c
     finally:
         tracemalloc.stop()
     assert len(counted) == 1 and peak <= 5 * counted[0]
+
+
+def writers(table, traj):
+    """Each writer of this module, as a call on one path."""
+    diagram = bifurcation_diagram(-1.0, resolution=5)
+    report = continue_theta(table, loop_around_origin(table, points_per_arc=4))
+    h = f = np.linspace(-1.0, 1.0, 3)
+    return [
+        lambda path: io.write_trajectory_csv(path, table, traj),
+        lambda path: io.write_diagram_csv(path, diagram),
+        lambda path: io.write_classification_csv(path, table, h, f),
+        lambda path: io.write_continuation_csv(path, report),
+        lambda path: io.write_json(path, {"k": -1.0}),
+        lambda path: io.write_orbit_svg(path, table, traj),
+        lambda path: io.write_diagram_svg(path, diagram),
+    ]
+
+
+@pytest.mark.parametrize("where", ["a-directory", "under-a-file", "in-a-missing-directory"])
+def test_writers_refuse_a_path_that_cannot_take_the_file(tmp_path, where):
+    table, start, stop = RUNS[0]
+    (tmp_path / "file").write_text("")
+    path = {"a-directory": tmp_path, "under-a-file": tmp_path / "file/out",
+            "in-a-missing-directory": tmp_path / "nodir/out"}[where]
+    for write in writers(table, simulate(table, start, **stop)):
+        with pytest.raises(ValidationError, match=f"^cannot write {re.escape(str(path))}: "):
+            write(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]

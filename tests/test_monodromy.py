@@ -401,6 +401,16 @@ class TestContinueTheta:
         with pytest.raises(ValidationError, match=r"^loop waypoint \(1e\+16, 0\.5\) .* rounds T_r"):
             continue_theta(table, loop)
 
+    def test_waypoint_without_a_period_names_its_fiber(self):
+        # cosh(w T_r) = 0 here, from a finite h^2 - k f^2: the value is outside the image
+        table = BookTable(k=K, sheets=2)
+        loop = [(-1.0, 0.5), (0.5, 0.5), (0.2, 0.1)]
+        with pytest.raises(
+            ValidationError, match=r"^loop waypoint \(-1\.0, 0\.5\) is not a regular value "
+            r"\(fiber: outside-image\)$"
+        ):
+            continue_theta(table, loop)
+
     def test_overflowing_f_refused_before_any_warning(self):
         table = BookTable(k=K, sheets=2)
         loop = [(-0.1, -0.5), (0.3, 1e200), (0.2, 0.1)]
