@@ -35,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BookTable, ConvergenceError, PhaseState, ValidationError, require_fits
+from .model import (
+    BookTable, ConvergenceError, PhaseState, ValidationError, require_fits, require_repelling
+)
 from .momentum import h_and_f, momentum_map
 
 #: a state with |r^2 - 1| below this is on the wall: reflect() accepts it, and
@@ -186,8 +188,7 @@ def flow_free(state: PhaseState, t: float, k: float) -> PhaseState:
     """Propagate the in-disk Hooke flow for time t (no wall check)."""
     if t < 0:
         raise ValidationError("propagation time must be nonnegative")
-    if not k < 0:
-        raise ValidationError("k must be negative")
+    require_repelling(k)
     w = math.sqrt(-k)
     return PhaseState(state.sheet, *_flow(state.x, state.y, state.vx, state.vy, w, math.exp(w * t)))
 
@@ -201,8 +202,7 @@ def time_to_boundary(state: PhaseState, k: float) -> float:
     root has no cancellation. A start within BOUNDARY_TOL outside the wall
     counts as on it; a start on the wall moving outward returns 0.
     """
-    if not k < 0:
-        raise ValidationError("k must be negative")
+    require_repelling(k)
     r2 = state.r2
     if r2 - 1.0 > BOUNDARY_TOL:
         raise ValidationError("state lies outside the closed unit disk")
@@ -404,7 +404,7 @@ def simulate(
     if max_reflections is None and max_time is None:
         raise ValidationError("a stop condition (max_reflections or max_time) is required")
     if max_reflections is not None:
-        if not isinstance(max_reflections, (int, np.integer)):
+        if isinstance(max_reflections, bool) or not isinstance(max_reflections, (int, np.integer)):
             raise ValidationError(f"max_reflections must be an integer, got {max_reflections!r}")
         if max_reflections < 0:
             raise ValidationError("max_reflections must be nonnegative")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhaseState, ValidationError
+from .model import PhaseState, ValidationError, require_repelling
 from .momentum import gradients
 
 #: eigenvalue real/imaginary parts below this are treated as vanishing
@@ -42,8 +42,7 @@ def linearization_operators(k: float) -> tuple[np.ndarray, np.ndarray]:
     components; H and F are quadratic, so column j of the Hessian is the
     gradient at the j-th basis state.
     """
-    if not k < 0:
-        raise ValidationError("k must be negative")
+    require_repelling(k)
     j = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
     basis = [gradients(PhaseState(1, *row), k) for row in np.eye(4).tolist()]
     a_h, a_f = (j @ np.column_stack(columns) for columns in zip(*basis))
@@ -69,8 +68,7 @@ def pencil_eigenvalues(k: float, lam: float = 1.0, mu: float = 1.0) -> PencilSpe
     the 2x2 operator [[i mu, -lam k], [lam, i mu]], whose eigenvalues together
     with their conjugates give +-lam*sqrt(-k) +- i*mu.
     """
-    if not k < 0:
-        raise ValidationError("k must be negative")
+    require_repelling(k)
     if lam == 0.0 and mu == 0.0:
         raise ValidationError("(lam, mu) = (0, 0) is not a pencil member")
     a = lam * math.sqrt(-k)

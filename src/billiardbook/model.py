@@ -8,6 +8,7 @@ next sheet of the cyclic gluing. The central potential ``k*(x^2+y^2)/2`` with
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -30,6 +31,12 @@ def require_fits(size: int, what: str, *args) -> None:
         raise ValidationError(f"{what} would take {size} bytes; physical memory is {MEMORY_BYTES}")
 
 
+def require_repelling(k: float) -> None:
+    """Refuse a Hooke coefficient k that is not finite and negative."""
+    if not -math.inf < k < 0:
+        raise ValidationError(f"k must be negative and finite (repelling potential), got {k!r}")
+
+
 @dataclass(frozen=True)
 class BookTable:
     """An n-sheeted book of unit disks glued along the boundary circle.
@@ -42,10 +49,9 @@ class BookTable:
     sheets: int = 1
 
     def __post_init__(self) -> None:
-        if not self.k < 0:
-            raise ValidationError("k must be negative (repelling potential)")
-        if not isinstance(self.sheets, int) or self.sheets < 1:
-            raise ValidationError("n must be >= 1")
+        require_repelling(self.k)
+        if isinstance(self.sheets, bool) or not isinstance(self.sheets, int) or self.sheets < 1:
+            raise ValidationError(f"n must be >= 1 and of type int, got {self.sheets!r}")
 
     def next_sheet(self, sheet: int) -> int:
         if not (isinstance(sheet, int) and 1 <= sheet <= self.sheets):

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BookTable, MomentumValue, PhaseState, ValidationError, require_fits
+from .model import (
+    BookTable, MomentumValue, PhaseState, ValidationError, require_fits, require_repelling
+)
 
 #: classification tolerance in (h, f) space
 SIGMA_TOL = 1e-9
@@ -64,8 +66,7 @@ def gradients(state: PhaseState, k: float) -> tuple[np.ndarray, np.ndarray]:
 
 def in_image(h: float, f: float, k: float) -> bool:
     """Whether (h, f) lies in the image of the momentum map."""
-    if not k < 0:
-        raise ValidationError("k must be negative")
+    require_repelling(k)
     return h >= (f * f + k) / 2.0
 
 
@@ -134,8 +135,7 @@ def bifurcation_diagram(
     k: float, f_min: float = -1.5, f_max: float = 1.5, resolution: int = 201
 ) -> BifurcationDiagram:
     """Sample the bifurcation diagram over an f-range."""
-    if not k < 0:
-        raise ValidationError("k must be negative")
+    require_repelling(k)
     if resolution < 2:
         raise ValidationError("resolution must be >= 2")
     if f_min == f_max:

@@ -86,8 +86,10 @@ def radial_period_quadrature(table: BookTable, h: float, f: float) -> PeriodSamp
     f -> 0+ limit dphi = pi; the f -> 0- limit -pi differs by 2*pi, which
     continue_theta's unwrapping absorbs.
 
-    This is the scalar form of _period_columns(), which continue_theta uses
-    on whole loops. Both branch per value and both stay: on one value numpy's
+    A value that cannot be used is refused by its fiber if it is not a
+    regular value, and otherwise because cosh(w T_r) is not above 1. This is
+    the scalar form of _period_columns(), the one array gate, which refuses
+    by the same rule. Both branch per value and both stay: on one value numpy's
     per-call cost is several times the work, and on a loop one array pass is
     far cheaper than a call per waypoint.
     """
@@ -107,22 +109,25 @@ def radial_period_quadrature(table: BookTable, h: float, f: float) -> PeriodSamp
     return PeriodSample(h, f, t_r, dphi, table.sheets * dphi)
 
 
-def _period_columns(k: float, h, f, what="value", error=ValidationError) -> tuple[np.ndarray, ...]:
+def _period_columns(table: BookTable, h, f, what="value", error=ValidationError) -> tuple[np.ndarray, ...]:
     """T_r and dphi of radial_period_quadrature() at arrays of values, branches as masks.
 
-    Raises error, naming what, at the first value whose cosh(w T_r) is not above 1, before
-    computing on it: by its fiber where h^2 - k f^2 is finite and the fiber is not a regular
-    torus. The caller refuses the other non-regular values, such as (0, 0).
+    Raises error, naming what, at the first value that radial_period_quadrature() would refuse,
+    for the same reason: its fiber first, then cosh(w T_r).
     """
+    k = table.k
     w = math.sqrt(-k)
     with np.errstate(all="ignore"):  # an overflow is what the gate looks for; (0, 0) gives c = inf
+        codes = classify_grid(table, h, f)
         root = np.sqrt(h * h - k * f * f)
         cosh_wt = (1.0 - h / k) / (root / -k)
-    bad = np.flatnonzero(~(cosh_wt > 1.0))
+    regular = codes == FIBER_TAGS.index(FiberTag.REGULAR_TORUS)
+    bad = np.flatnonzero(~(regular & (cosh_wt > 1.0)))
     if bad.size:
         i = bad[0]
-        if math.isfinite(root[i]):  # the fiber's tag does not depend on the sheet count
-            _require_regular(BookTable(k), h[i : i + 1], f[i : i + 1], what, error)
+        if not regular[i]:
+            tag = FIBER_TAGS[codes[i]].value
+            raise error(f"{what} ({h[i]}, {f[i]}) is not a regular value (fiber: {tag})")
         raise error(_NO_PERIOD.format(what, h[i], f[i], cosh_wt[i]))
     t_r = np.arccosh(cosh_wt) / w
     # rho0 as inner_radius_squared() takes it, without its cancellation for h > 0
@@ -139,15 +144,6 @@ def _require_regular_value(table: BookTable, h: float, f: float) -> None:
     tag = classify_fiber(table, h, f).tag
     if tag is not FiberTag.REGULAR_TORUS:
         raise ValidationError(f"({h}, {f}) is not a regular value (fiber: {tag.value})")
-
-
-def _require_regular(table: BookTable, h, f, what="loop waypoint", error=ValidationError) -> None:
-    """Raise error, naming what, at the first value (h, f) that is not a regular value."""
-    codes = classify_grid(table, h, f)
-    bad = np.flatnonzero(codes != FIBER_TAGS.index(FiberTag.REGULAR_TORUS))
-    if bad.size:
-        i, tag = bad[0], FIBER_TAGS[codes[bad[0]]]
-        raise error(f"{what} ({h[i]}, {f[i]}) is not a regular value (fiber: {tag.value})")
 
 
 def boundary_state(table: BookTable, h: float, f: float) -> PhaseState:
@@ -184,8 +180,8 @@ def loop_around_origin(
 
     The left part is the arc of the parabola h = (f^2 + c^2 k)/(2c) of
     constant inner radius r0 = c; the right part is the vertical segment
-    h = const joining the arc endpoints. Every waypoint is a regular value. The
-    corner has the loop's largest h and |f|, so its least cosh(w T_r): it is gated first.
+    h = const joining the arc endpoints. The corner has the loop's largest h and
+    |f|, so its least cosh(w T_r): it is gated first, then every waypoint.
     """
     k = table.k
     if not 0.0 < c < 1.0:
@@ -197,7 +193,7 @@ def loop_around_origin(
         raise ValidationError(
             f"loop does not enclose (0, 0): need f_max > c*sqrt(-k) = {c * math.sqrt(-k):g}"
         )
-    _period_columns(k, np.array([h_right]), np.array([f_max]), "loop corner")
+    _period_columns(table, np.array([h_right]), np.array([f_max]), "loop corner")
     if points_per_arc < 2:
         raise ValidationError("points_per_arc must be >= 2")
     require_fits(32 * int(points_per_arc), "points_per_arc=%r", points_per_arc)  # h, f a waypoint
@@ -209,7 +205,7 @@ def loop_around_origin(
     f_segment = np.linspace(f_max, -f_max, points_per_arc + 1)[1:-1]
     h = np.concatenate(((f_arc * f_arc + c * c * k) / (2.0 * c), np.full(f_segment.size, h_right)))
     f = np.concatenate((f_arc, f_segment))
-    _require_regular(table, h, f)
+    _period_columns(table, h, f, "loop waypoint")
     return list(zip(h.tolist(), f.tolist()))
 
 
@@ -227,16 +223,15 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
     whose steps alias once they near 2*pi) is unwrapped, each step taken
     nearest to zero, and theta_unwrapped = n * dphi_unwrapped. Waypoint gaps
     whose unwrapped dphi step is still >= pi/2 are bisected, each round's
-    midpoints in one array pass, until every step is below pi/2; a midpoint
-    that is not a regular value raises ConvergenceError. After a full turn
-    theta gains 2*pi*m. The report's unwrap_margin is the largest dphi step
-    over pi/2.
+    midpoints in one array pass, until every step is below pi/2. Each pass
+    is gated once: a refused waypoint raises ValidationError, a refused
+    midpoint ConvergenceError. After a full turn theta gains 2*pi*m. The
+    report's unwrap_margin is the largest dphi step over pi/2.
     """
     if len(loop) < 3:
         raise ValidationError("loop needs at least 3 waypoints")
     h, f = np.asarray(loop, dtype=float).T
-    t_r, dphi = _period_columns(table.k, h, f, "loop waypoint")
-    _require_regular(table, h, f)
+    t_r, dphi = _period_columns(table, h, f, "loop waypoint")
     # close the loop: its last sample is loop[0] again
     h, f, t_r, dphi = (np.append(v, v[0]) for v in (h, f, t_r, dphi))
 
@@ -254,8 +249,7 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
             )
         mid_h, mid_f = (h[gaps] + h[gaps + 1]) / 2.0, (f[gaps] + f[gaps + 1]) / 2.0
         midpoint = ("bisection midpoint", ConvergenceError)
-        mids = (mid_h, mid_f, *_period_columns(table.k, mid_h, mid_f, *midpoint))
-        _require_regular(table, mid_h, mid_f, *midpoint)
+        mids = (mid_h, mid_f, *_period_columns(table, mid_h, mid_f, *midpoint))
         h, f, t_r, dphi = (np.insert(v, gaps + 1, new) for v, new in zip((h, f, t_r, dphi), mids))
 
     n = table.sheets

@@ -390,7 +390,7 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, name):
 
 # inputs refused before any output is written: sizes beyond physical memory
 # (above the 2^47-byte address space, so nothing is ever allocated), values
-# whose h^2 - k f^2 overflows, and an empty f range
+# whose h^2 - k f^2 overflows, an empty f range, and a classify given no value
 REFUSED = {
     "diagram-resolution": (["diagram", "--resolution", "100000000000000"], "resolution="),
     "monodromy-points": (["monodromy", "--points-per-arc", "100000000000000"], "points_per_arc="),
@@ -409,6 +409,7 @@ REFUSED = {
     "monodromy-f-max-1e10": (["monodromy", "--f-max", "1e10"], "loop corner (1e+20, "),
     "simulate-seed-negative": (["simulate", "--seed", "-1", "--reflections", "3"],
                                "--seed must be non-negative"),
+    "classify-without-value-or-grid": (["classify", "-k", "-1"], "--h and --f"),
 }
 
 

@@ -22,7 +22,7 @@ from billiardbook import (
     simulate,
     time_to_boundary,
 )
-from billiardbook.dynamics import _CHUNK, _rotated
+from billiardbook.dynamics import _CHUNK, _hit_count, _rotated
 
 K = -1.0
 KS = (-0.25, -1.0, -4.0)
@@ -632,6 +632,18 @@ class TestStopReason:
             assert traj.stop_reason == "time"
             assert not traj[-1].reflected and traj.reflections == len(traj) - 1
             assert math.fsum(traj.duration) == pytest.approx(max_time, abs=1e-12)
+
+    @pytest.mark.parametrize("t0,t_r,max_time,count", [
+        # ceil((max_time - t0)/t_r) gives 242 and 138: one too many, one too few
+        ("0x1.0c67fd3611240p-3", "0x1.1b01e0bc4e88ep-3", "0x1.0b792c8e7c000p+5", 241),
+        ("0x1.347f8263d98bep-1", "0x1.84fc28969e65fp-3", "0x1.ad03d7d581925p+4", 139),
+    ])
+    def test_hit_count_is_exact_where_the_quotient_rounds_wrong(self, t0, t_r, max_time, count):
+        t0, t_r, max_time = map(float.fromhex, (t0, t_r, max_time))
+        hits, tail = _hit_count(t0, t_r, None, max_time)
+        assert hits == count
+        assert t0 + (hits - 1) * t_r < max_time <= t0 + hits * t_r
+        assert tail == max_time - (t0 + (hits - 1) * t_r)
 
     def test_reflection_onto_the_stable_manifold(self):
         # (h, f) = (0, 0) to rounding: the first hit reflects v = w x exactly

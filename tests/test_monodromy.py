@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -133,6 +134,15 @@ class TestRadialPeriodQuadrature:
             radial_period_quadrature(BookTable(k=k, sheets=2), h, f)
 
 
+def refusal_reason(message):
+    """The fiber tag a refusal names, or "period" for the cosh(w T_r) gate."""
+    fiber = re.search(r"is not a regular value \(fiber: ([\w-]+)\)$", message)
+    if fiber:
+        return fiber.group(1)
+    assert "cosh(w T_r) = " in message, message
+    return "period"
+
+
 class TestPeriodColumns:
     def test_match_scalar_closed_form(self):
         # random regular values, the f = 0, h > 0 waypoint, f -> 0+- with
@@ -153,7 +163,7 @@ class TestPeriodColumns:
                 (h, f) for h, f in values
                 if classify_fiber(table, h, f).tag is FiberTag.REGULAR_TORUS
             ]
-            t_r, dphi = _period_columns(k, *np.array(values).T)
+            t_r, dphi = _period_columns(table, *np.array(values).T)
             for (h, f), got_t, got_phi in zip(values, t_r.tolist(), dphi.tolist()):
                 sample = radial_period_quadrature(table, h, f)
                 assert abs(got_t - sample.T_r) <= 1e-14 and abs(got_phi - sample.dphi) <= 1e-14
@@ -283,6 +293,14 @@ class TestLoopAroundOrigin:
     def test_corner_whose_period_rounds_away_is_named(self):
         with pytest.raises(ValidationError, match=r"^loop corner \(1e\+16, 100000000\.0\) "):
             loop_around_origin(BookTable(k=K, sheets=2), f_max=1e8)
+
+    def test_singular_corner_is_named_before_the_waypoints(self):
+        # at k = -1e-12 the corner (7.5e-13, 1e-6) lies within SIGMA_TOL of the parabola
+        with pytest.raises(
+            ValidationError, match=r"^loop corner \(7\.5e-13, 1e-06\) is not a regular value "
+            r"\(fiber: atom-A-circle\)$"
+        ):
+            loop_around_origin(BookTable(k=-1e-12, sheets=2), c=0.5, f_max=1e-6)
 
     def test_points_beyond_memory_rejected(self):
         # refused before numpy allocates: 10^14 points exceed any address space
@@ -418,6 +436,29 @@ class TestContinueTheta:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=r"^loop waypoint \(0\.3, 1e\+200\) "):
                 continue_theta(table, loop)
+
+    @pytest.mark.parametrize("h,f", [
+        (0.3, 1e200), (-1.0, 0.5), (-0.375, 0.5), (0.0, 0.0), (1e16, 0.5), (1e200, 0.5),
+    ])
+    def test_refuses_a_value_for_the_scalar_forms_reason(self, h, f):
+        # one gate, one rule: the fiber if it is not a regular value, else cosh(w T_r)
+        table = BookTable(k=K, sheets=2)
+        with pytest.raises(ValidationError) as scalar:
+            radial_period_quadrature(table, h, f)
+        with pytest.raises(ValidationError) as array:
+            continue_theta(table, [(-0.1, -0.5), (h, f), (0.2, 0.1)])
+        assert refusal_reason(str(scalar.value)) == refusal_reason(str(array.value))
+        assert str(array.value).startswith(f"loop waypoint ({h}, {f}) ")
+
+    def test_first_unusable_waypoint_is_named(self):
+        # (0, 0) has a period gate value of inf, so only its fiber refuses it, before (1e16, 0.5)
+        table = BookTable(k=K, sheets=2)
+        loop = [(-0.1, -0.5), (0.0, 0.0), (1e16, 0.5), (0.2, 0.1)]
+        with pytest.raises(
+            ValidationError,
+            match=r"^loop waypoint \(0\.0, 0\.0\) is not a regular value \(fiber: pinched-torus\)$",
+        ):
+            continue_theta(table, loop)
 
     def test_singular_midpoint_is_named(self):
         table = BookTable(k=K, sheets=2)
