@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,6 +31,12 @@ class FiberTag(enum.Enum):
 
 #: the tags in their enum order; classify_grid() returns indices into it
 FIBER_TAGS = tuple(FiberTag)
+
+#: the numpy functions of the (h, f) formulas, from math for one value (with numpy's a / 0 = inf)
+_FLOATS = SimpleNamespace(
+    sqrt=math.sqrt, arccosh=math.acosh, tanh=math.tanh, arctan2=math.atan2,
+    divide=lambda a, b: a / b if b else math.inf, where=lambda cond, yes, no: yes if cond else no,
+)
 
 
 @dataclass(frozen=True)
@@ -78,47 +85,45 @@ def inner_radius(h: float, f: float, k: float) -> float:
     """
     if not in_image(h, f, k):
         raise ValidationError(f"({h}, {f}) is outside the momentum-map image")
-    return math.sqrt(max(inner_radius_squared(h, f, k), 0.0))
+    return math.sqrt(max(_root_and_rho0(_FLOATS, h, f, k)[1], 0.0))
 
 
-def inner_radius_squared(h: float, f: float, k: float) -> float:
-    """rho0 = r0^2, the root >= 0 of -k rho^2 + 2h rho - f^2 (no image check);
-    it branches on h > 0, so monodromy._period_columns() keeps a masked copy."""
-    root = math.sqrt(h * h - k * f * f)
-    if h > 0.0:
-        # avoid cancellation of -h + root for small f
-        return f * f / (root + h)
-    return (-h + root) / (-k)
+def _root_and_rho0(xp, h, f, k):
+    """sqrt(h^2 - k f^2) and rho0 = r0^2 >= 0, the root of -k rho^2 + 2h rho - f^2 (no image check),
+    at one value (xp = _FLOATS) or arrays (xp = numpy): f^2/(root + h) for h > 0, free of the
+    cancellation in (root - h)/(-k). The selects pick operands, so (0, 0) divides by -k, not 0."""
+    root = xp.sqrt(h * h - k * f * f)
+    s = root + abs(h)  # root - h where h <= 0
+    return root, xp.where(h > 0.0, f * f, s) / xp.where(h > 0.0, s, -k)
+
+
+def _fiber_tests(h, f, k):
+    """classify_fiber's SIGMA_TOL tests of (h, f), floats or arrays, in deciding order: outside the
+    image, the singular value (0, 0), the parabola. Passing none (NaN too) is a regular value."""
+    d = h - (f * f + k) / 2.0
+    return d < -SIGMA_TOL, (abs(h) <= SIGMA_TOL) & (abs(f) <= SIGMA_TOL), abs(d) <= SIGMA_TOL
 
 
 def classify_fiber(table: BookTable, h: float, f: float) -> FiberClass:
     """Classify the fiber over (h, f); values within SIGMA_TOL of Sigma are singular."""
-    k = table.k
-    d = h - (f * f + k) / 2.0
-    if d < -SIGMA_TOL:
+    outside, singular, circle = _fiber_tests(h, f, table.k)
+    if outside:
         return FiberClass(FiberTag.OUTSIDE_IMAGE)
-    if max(abs(h), abs(f)) <= SIGMA_TOL:
+    if singular:
         return FiberClass(FiberTag.PINCHED_TORUS, pinches=table.sheets, contains_focus_focus=True)
-    if abs(d) <= SIGMA_TOL:
+    if circle:
         return FiberClass(FiberTag.ATOM_A_CIRCLE)
     return FiberClass(FiberTag.REGULAR_TORUS)
 
 
 def classify_grid(table: BookTable, h, f) -> np.ndarray:
-    """classify_fiber's rule on broadcast arrays: the FIBER_TAGS index of each value.
-
-    The same comparisons in the same order as classify_fiber, whose branches
-    stay scalar because numpy's per-call cost outweighs the work on one value.
-    """
+    """classify_fiber's rule on broadcast arrays: the FIBER_TAGS index of each value."""
     h, f = np.asarray(h, dtype=float), np.asarray(f, dtype=float)
-    d = h - (f * f + table.k) / 2.0
-    return np.select(
-        [d < -SIGMA_TOL, np.maximum(np.abs(h), np.abs(f)) <= SIGMA_TOL, np.abs(d) <= SIGMA_TOL],
-        [FIBER_TAGS.index(tag) for tag in (
-            FiberTag.OUTSIDE_IMAGE, FiberTag.PINCHED_TORUS, FiberTag.ATOM_A_CIRCLE
-        )],
-        FIBER_TAGS.index(FiberTag.REGULAR_TORUS),
-    )
+    singular = (FiberTag.OUTSIDE_IMAGE, FiberTag.PINCHED_TORUS, FiberTag.ATOM_A_CIRCLE)
+    codes = [FIBER_TAGS.index(tag) for tag in singular]
+    with np.errstate(invalid="ignore"):  # inf - inf in the tests is NaN, as for one float
+        tests = _fiber_tests(h, f, table.k)
+    return np.select(tests, codes, FIBER_TAGS.index(FiberTag.REGULAR_TORUS))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import flow_free, time_to_boundary
 from .model import BookTable, ConvergenceError, PhaseState, ValidationError, require_fits
-from .momentum import FIBER_TAGS, FiberTag, classify_fiber, classify_grid
+from .momentum import _FLOATS, _fiber_tests, _root_and_rho0, classify_fiber
 
 #: unwrapping is unambiguous only if dphi steps stay below this
 UNWRAP_STEP = math.pi / 2
@@ -39,8 +39,6 @@ MAX_REFINE_DEPTH = 48
 #: theta_center_limit's largest f, halved CENTER_LEVELS - 1 times
 CENTER_F_START = 0.4
 CENTER_LEVELS = 7
-#: refuses a value whose c = cosh(w T_r) is not above 1: the root overflowed, or c rounded to 1
-_NO_PERIOD = "{} ({}, {}) overflows h^2 - k f^2 or rounds T_r to 0 (cosh(w T_r) = {})"
 
 
 @dataclass(frozen=True)
@@ -80,70 +78,55 @@ class MonodromyReport:
 def radial_period_quadrature(table: BookTable, h: float, f: float) -> PeriodSample:
     """T_r and dphi at a regular value; theta = n * dphi.
 
-    The name is kept for API stability: the function evaluates the closed
-    forms of the module docstring, not a quadrature. For f = 0 with h > 0
-    (diameter orbits) rho0 = 0 and the center passage contributes the
-    f -> 0+ limit dphi = pi; the f -> 0- limit -pi differs by 2*pi, which
-    continue_theta's unwrapping absorbs.
-
-    A value that cannot be used is refused by its fiber if it is not a
-    regular value, and otherwise because cosh(w T_r) is not above 1. This is
-    the scalar form of _period_columns(), the one array gate, which refuses
-    by the same rule. Both branch per value and both stay: on one value numpy's
-    per-call cost is several times the work, and on a loop one array pass is
-    far cheaper than a call per waypoint.
+    The name is kept for API stability: the closed forms of the module docstring are evaluated,
+    not a quadrature. For f = 0 with h > 0 (diameter orbits) dphi is the f -> 0+ limit pi; the
+    f -> 0- limit -pi differs by 2*pi, which continue_theta's unwrapping absorbs.
     """
-    _require_regular_value(table, h, f)
-    k = table.k
-    w = math.sqrt(-k)
-    root = math.sqrt(h * h - k * f * f)
-    cosh_wt = (1.0 - h / k) / (root / -k)  # (1 - gamma)/alpha, w^2 = -k
-    if not cosh_wt > 1.0:
-        raise ValidationError(_NO_PERIOD.format("value", h, f, cosh_wt))
-    t_r = math.acosh(cosh_wt) / w
-    if f == 0.0 and h > 0.0:
-        dphi = math.pi
-    else:
-        rho0 = f * f / (root + h) if h > 0.0 else (root - h) / -k  # inner_radius_squared()
-        dphi = 2.0 * math.atan2(f * math.tanh(w * t_r / 2.0), w * rho0)
+    t_r, dphi = _period(_FLOATS, table, h, f)
     return PeriodSample(h, f, t_r, dphi, table.sheets * dphi)
 
 
 def _period_columns(table: BookTable, h, f, what="value", error=ValidationError) -> tuple[np.ndarray, ...]:
-    """T_r and dphi of radial_period_quadrature() at arrays of values, branches as masks.
-
-    Raises error, naming what, at the first value that radial_period_quadrature() would refuse,
-    for the same reason: its fiber first, then cosh(w T_r).
-    """
-    k = table.k
-    w = math.sqrt(-k)
+    """T_r and dphi of radial_period_quadrature() at arrays of values, refused by the same gate."""
     with np.errstate(all="ignore"):  # an overflow is what the gate looks for; (0, 0) gives c = inf
-        codes = classify_grid(table, h, f)
-        root = np.sqrt(h * h - k * f * f)
-        cosh_wt = (1.0 - h / k) / (root / -k)
-    regular = codes == FIBER_TAGS.index(FiberTag.REGULAR_TORUS)
-    bad = np.flatnonzero(~(regular & (cosh_wt > 1.0)))
-    if bad.size:
-        i = bad[0]
-        if not regular[i]:
-            tag = FIBER_TAGS[codes[i]].value
-            raise error(f"{what} ({h[i]}, {f[i]}) is not a regular value (fiber: {tag})")
-        raise error(_NO_PERIOD.format(what, h[i], f[i], cosh_wt[i]))
-    t_r = np.arccosh(cosh_wt) / w
-    # rho0 as inner_radius_squared() takes it, without its cancellation for h > 0
-    rho0 = (root - h) / -k
-    right = h > 0.0
-    rho0[right] = (f * f)[right] / (root + h)[right]
-    dphi = 2.0 * np.arctan2(f * np.tanh(w * t_r / 2.0), w * rho0)
-    dphi[right & (f == 0.0)] = math.pi
-    return t_r, dphi
+        return _period(np, table, h, f, what, error)
 
 
-def _require_regular_value(table: BookTable, h: float, f: float) -> None:
-    """Refuse one value (h, f) that is not a regular value, naming its fiber."""
-    tag = classify_fiber(table, h, f).tag
-    if tag is not FiberTag.REGULAR_TORUS:
-        raise ValidationError(f"({h}, {f}) is not a regular value (fiber: {tag.value})")
+def _period(xp, table: BookTable, h, f, what="value", error=ValidationError):
+    """T_r and dphi at one value (xp = _FLOATS) or at arrays (xp = numpy), refused by _gate().
+
+    Both forms stay: numpy costs several times the work on one value, and a call per waypoint far
+    more than one array pass. libm's acosh, tanh and atan2 may differ from numpy's in the last bit.
+    """
+    cosh_wt, rho0 = _gate(xp, table, h, f, what, error)
+    w = math.sqrt(-table.k)
+    t_r = xp.arccosh(cosh_wt) / w
+    dphi = 2.0 * xp.arctan2(f * xp.tanh(w * t_r / 2.0), w * rho0)
+    return t_r, xp.where((f == 0.0) & (h > 0.0), math.pi, dphi)
+
+
+def _gate(xp, table: BookTable, h, f, what="value", error=ValidationError):
+    """cosh(w T_r) and rho0 at values (h, f), or error naming what and the first without a period:
+    a NaN h or f, then a value that is not regular (naming its fiber), then one whose cosh(w T_r)
+    is not above 1, as the root overflowed (an infinite h, too) or c rounded to 1."""
+    k = table.k
+    root, rho0 = _root_and_rho0(xp, h, f, k)
+    cosh_wt = xp.divide(1.0 - h / k, root / -k)  # (1 - gamma)/alpha, w^2 = -k
+    if xp is np:  # arrays: the first value without a period (NaN fails c > 1) is refused below
+        usable = (cosh_wt > 1.0) & ~np.any(_fiber_tests(h, f, k), axis=0)
+        if usable.all():
+            return cosh_wt, rho0
+        h, f, cosh_wt = (v[np.argmin(usable)] for v in (h, f, cosh_wt))
+    if math.isnan(h) or math.isnan(f):
+        raise error(f"{what} ({h}, {f}) is not finite")
+    if any(_fiber_tests(h, f, k)):
+        tag = classify_fiber(table, h, f).tag.value
+        raise error(f"{what} ({h}, {f}) is not a regular value (fiber: {tag})")
+    if not cosh_wt > 1.0:
+        raise error(
+            f"{what} ({h}, {f}) overflows h^2 - k f^2 or rounds T_r to 0 (cosh(w T_r) = {cosh_wt})"
+        )
+    return cosh_wt, rho0
 
 
 def boundary_state(table: BookTable, h: float, f: float) -> PhaseState:
@@ -160,9 +143,9 @@ def radial_period_simulated(table: BookTable, h: float, f: float) -> PeriodSampl
     Independent of the closed forms: the period is the first-return time to
     the wall from time_to_boundary(), the advance is the signed angle between
     the arc's endpoints. One arc advances by |dphi| <= pi with the sign of f, which
-    makes that angle unambiguous.
+    makes that angle unambiguous. _gate() refuses a value as for the closed forms.
     """
-    _require_regular_value(table, h, f)
+    _gate(_FLOATS, table, h, f)
     a = boundary_state(table, h, f)
     t_r = time_to_boundary(a, table.k)
     b = flow_free(a, t_r, table.k)
@@ -171,17 +154,14 @@ def radial_period_simulated(table: BookTable, h: float, f: float) -> PeriodSampl
 
 
 def loop_around_origin(
-    table: BookTable,
-    c: float = 0.5,
-    f_max: float = 0.8,
-    points_per_arc: int = 64,
+    table: BookTable, c: float = 0.5, f_max: float = 0.8, points_per_arc: int = 64
 ) -> list[tuple[float, float]]:
     """Closed counterclockwise polyline around (0, 0) in the (h, f) plane.
 
     The left part is the arc of the parabola h = (f^2 + c^2 k)/(2c) of
     constant inner radius r0 = c; the right part is the vertical segment
-    h = const joining the arc endpoints. The corner has the loop's largest h and
-    |f|, so its least cosh(w T_r): it is gated first, then every waypoint.
+    h = const joining the arc endpoints. The corner, with the least cosh(w T_r) up to rounding
+    and further inside the image than any arc waypoint, is gated here; continue_theta() gates all.
     """
     k = table.k
     if not 0.0 < c < 1.0:
@@ -193,7 +173,9 @@ def loop_around_origin(
         raise ValidationError(
             f"loop does not enclose (0, 0): need f_max > c*sqrt(-k) = {c * math.sqrt(-k):g}"
         )
-    _period_columns(table, np.array([h_right]), np.array([f_max]), "loop corner")
+    _gate(_FLOATS, table, h_right, f_max, "loop corner")
+    if isinstance(points_per_arc, bool) or not isinstance(points_per_arc, (int, np.integer)):
+        raise ValidationError(f"points_per_arc must be an integer, got {points_per_arc!r}")
     if points_per_arc < 2:
         raise ValidationError("points_per_arc must be >= 2")
     require_fits(32 * int(points_per_arc), "points_per_arc=%r", points_per_arc)  # h, f a waypoint
@@ -205,7 +187,6 @@ def loop_around_origin(
     f_segment = np.linspace(f_max, -f_max, points_per_arc + 1)[1:-1]
     h = np.concatenate(((f_arc * f_arc + c * c * k) / (2.0 * c), np.full(f_segment.size, h_right)))
     f = np.concatenate((f_arc, f_segment))
-    _period_columns(table, h, f, "loop waypoint")
     return list(zip(h.tolist(), f.tolist()))
 
 

@@ -74,6 +74,8 @@ class TestInnerRadius:
     def test_diameter_orbits_reach_center(self):
         assert inner_radius(1.0, 0.0, K) == 0.0
         assert inner_radius(0.3, 0.0, K) == 0.0
+        # rho0 written as f^2/(root + |h|) for every h would divide by zero here
+        assert inner_radius(0.0, 0.0, K) == 0.0
 
     def test_direct_substitution(self):
         assert inner_radius(1.0, 1.0, K) == pytest.approx(
@@ -150,6 +152,10 @@ class TestClassifyGrid:
                 f.append(fv)
             h += [dh] * len(offsets)
             f += offsets
+        # signed zeros and values that are not finite: NaN passes no test, for a float or an array
+        special = (0.0, -0.0, math.inf, -math.inf, math.nan)
+        h += [hv for hv in special for _ in special]
+        f += list(special) * len(special)
         codes = classify_grid(table, np.array(h), np.array(f))
         tags = [FIBER_TAGS[c] for c in codes.tolist()]
         assert tags == [classify_fiber(table, hv, fv).tag for hv, fv in zip(h, f)]

@@ -213,6 +213,26 @@ class TestClosedForms:
         assert worst_t < 1e-10
         assert worst_phi < 1e-10
 
+    def test_period_one_form_is_closed(self):
+        # T_r and -dphi are 2 pi times dI_r/dh and dI_r/df of the radial action I_r(h, f), so
+        # dT_r/df = -d(dphi)/dh: central differences through both forms, 0.02 inside the image
+        rng = np.random.default_rng(47)
+        step = 1e-5
+        for k in KS:
+            table = BookTable(k=k, sheets=1)
+            f = rng.uniform(0.05, 1.5, 400) * rng.choice((-1.0, 1.0), 400)
+            h = (f * f + k) / 2.0 + rng.uniform(0.02, 2.0, 400)
+
+            def one_at_a_time(hs, fs):
+                samples = [radial_period_quadrature(table, *v) for v in zip(hs.tolist(), fs.tolist())]
+                return np.array([(s.T_r, s.dphi) for s in samples]).T
+
+            for period in (one_at_a_time, lambda hs, fs: _period_columns(table, hs, fs)):
+                dt_df = (period(h, f + step)[0] - period(h, f - step)[0]) / (2.0 * step)
+                dphi_dh = (period(h + step, f)[1] - period(h - step, f)[1]) / (2.0 * step)
+                gap = np.abs(dt_df + dphi_dh)
+                assert np.all(gap <= 1e-6 * np.maximum(np.abs(dt_df), np.abs(dphi_dh)))
+
     @given(
         k=st.sampled_from(KS),
         f=st.floats(-1.5, 1.5),
@@ -260,6 +280,8 @@ class TestClosedForms:
         assert abs(sample.dphi) <= abs(f) * math.sqrt(-k) / abs(h)
         assert math.isfinite(sample.T_r) and sample.T_r > 0.0
         assert radial_period_quadrature(table, h, 0.0).dphi == 0.0
+        # a select that blends the f = 0, h > 0 case in by arithmetic loses this sign
+        assert math.copysign(1.0, radial_period_quadrature(table, h, -0.0).dphi) == -1.0
 
 
 class TestLoopAroundOrigin:
@@ -301,6 +323,13 @@ class TestLoopAroundOrigin:
             r"\(fiber: atom-A-circle\)$"
         ):
             loop_around_origin(BookTable(k=-1e-12, sheets=2), c=0.5, f_max=1e-6)
+
+    @pytest.mark.parametrize("points_per_arc", [64.5, "64", True])
+    def test_points_per_arc_that_is_not_an_integer_rejected(self, points_per_arc):
+        table = BookTable(k=K, sheets=1)
+        with pytest.raises(ValidationError, match=r"^points_per_arc must be an integer, got "):
+            loop_around_origin(table, points_per_arc=points_per_arc)
+        assert loop_around_origin(table, points_per_arc=np.int64(64)) == loop_around_origin(table)
 
     def test_points_beyond_memory_rejected(self):
         # refused before numpy allocates: 10^14 points exceed any address space
@@ -439,6 +468,7 @@ class TestContinueTheta:
 
     @pytest.mark.parametrize("h,f", [
         (0.3, 1e200), (-1.0, 0.5), (-0.375, 0.5), (0.0, 0.0), (1e16, 0.5), (1e200, 0.5),
+        (1e150, 0.5), (2e154, 0.5),
     ])
     def test_refuses_a_value_for_the_scalar_forms_reason(self, h, f):
         # one gate, one rule: the fiber if it is not a regular value, else cosh(w T_r)
@@ -449,6 +479,22 @@ class TestContinueTheta:
             continue_theta(table, [(-0.1, -0.5), (h, f), (0.2, 0.1)])
         assert refusal_reason(str(scalar.value)) == refusal_reason(str(array.value))
         assert str(array.value).startswith(f"loop waypoint ({h}, {f}) ")
+        # the simulated form would answer T_r = 0 at h = 1e150, 1e200 and 2e154
+        with pytest.raises(ValidationError) as simulated:
+            radial_period_simulated(table, h, f)
+        assert str(simulated.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("h,f", [(math.nan, 0.5), (0.3, math.nan), (math.nan, math.nan)])
+    def test_nan_value_is_refused_by_name_first(self, h, f):
+        # NaN passes every fiber test and fails cosh(w T_r) > 1, so it is named before either
+        table = BookTable(k=K, sheets=2)
+        for form in (radial_period_quadrature, radial_period_simulated):
+            with pytest.raises(ValidationError, match=r"^value \(.*\) is not finite$"):
+                form(table, h, f)
+        with pytest.raises(ValidationError, match=r"^loop waypoint \(.*\) is not finite$"):
+            continue_theta(table, [(-0.1, -0.5), (h, f), (0.3, 1e200), (0.2, 0.1)])
+        with pytest.raises(ValidationError, match=r"^loop corner \(nan, nan\) is not finite$"):
+            loop_around_origin(table, f_max=math.nan)
 
     def test_first_unusable_waypoint_is_named(self):
         # (0, 0) has a period gate value of inf, so only its fiber refuses it, before (1e16, 0.5)
