@@ -25,6 +25,10 @@ previous one turned by the same angle ``dphi`` and lasting the same ``T_r``.
 of at most ``_CHUNK`` hits turns the first hit once per row. Each hit is
 two turns from the first, never computed from the one before, so rounding
 error does not grow with the number of reflections.
+
+Each test is made in the w = 1 frame of model.py: a wall hit grazes when |v.n|/w < GRAZING_TOL,
+and a start is on the boundary critical orbit when its orbit's (v.n/w)^2 at the wall,
+((x.v)^2 + (1 - r^2)(|v|^2 - k))/|k|, is below GRAZING_TOL^2.
 """
 
 from __future__ import annotations
@@ -36,15 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    BookTable, ConvergenceError, PhaseState, ValidationError, require_fits, require_repelling
+    BOUNDARY_TOL, GRAZING_TOL, BookTable, ConvergenceError, PhaseState, ValidationError,
+    require_fits, require_repelling,
 )
 from .momentum import h_and_f, momentum_map
 
-#: a state with |r^2 - 1| below this is on the wall: reflect() accepts it, and
-#: time_to_boundary() and simulate() accept it as a start
-BOUNDARY_TOL = 1e-9
-#: |v . n| below this at a wall hit is treated as a tangential (grazing) hit
-GRAZING_TOL = 1e-12
 #: rows per numpy pass of _bounce_map(), of _sample_trajectory() and of
 #: iteration over a Trajectory, which bounds the temporaries a long run needs
 _CHUNK = 2048
@@ -230,7 +230,7 @@ def reflect(table: BookTable, state: PhaseState) -> PhaseState:
     if abs(r2 - 1.0) >= BOUNDARY_TOL:
         raise ValidationError("reflect requires a state on the boundary circle")
     vn, vx, vy = _reflected(state.x, state.y, state.vx, state.vy, math.sqrt(r2))
-    if vn < -GRAZING_TOL:
+    if vn < -GRAZING_TOL * math.sqrt(-table.k):
         raise ValidationError("reflect requires a nonnegative outward velocity")
     return PhaseState(table.next_sheet(state.sheet), state.x, state.y, vx, vy)
 
@@ -279,8 +279,8 @@ def _sample_trajectory(
         yield lo, tau, states
 
 
-def _is_grazing(hit: PhaseState) -> bool:
-    return abs(hit.x * hit.vx + hit.y * hit.vy) < GRAZING_TOL
+def _is_grazing(hit: PhaseState, k: float) -> bool:
+    return abs(hit.x * hit.vx + hit.y * hit.vy) < GRAZING_TOL * math.sqrt(-k)
 
 
 def _slide(state: PhaseState, duration: float, k: float) -> tuple[PhaseState, float, PhaseState]:
@@ -430,10 +430,10 @@ def simulate(
     # Critical orbit: the normal speed the orbit has at the wall vanishes.
     # (v.n)^2 there is 2h - k - f^2 = (x.v)^2 + (1 - r^2)(|v|^2 - k), a sum
     # of non-negative terms inside the disk (time_to_boundary's discriminant
-    # times w^2). The region of motion is then the wall circle, propagated as
-    # pure rotation.
+    # times w^2), and over w^2 = -k it is (v.n/w)^2, the grazing test squared.
+    # The region of motion is then the wall circle, propagated as pure rotation.
     xv = initial.x * initial.vx + initial.y * initial.vy
-    if xv * xv + max(1.0 - r2, 0.0) * (initial.speed2 - k) < GRAZING_TOL**2:
+    if (xv * xv + max(1.0 - r2, 0.0) * (initial.speed2 - k)) / -k < GRAZING_TOL**2:
         if max_time is None:
             raise ValidationError("the boundary critical orbit never reflects; use max_time")
         return _arcs([_slide(initial, max_time, k)], 0, "time", boundary_orbit=True)
@@ -448,7 +448,7 @@ def simulate(
     if not residual < BOUNDARY_TOL:  # the wall-hit solver failed: no input is at fault
         raise ConvergenceError(f"the first wall hit is off the wall: |r^2 - 1| = {residual:.3g}")
     arcs = [(initial, t0, hit)]
-    if _is_grazing(hit):
+    if _is_grazing(hit, k):
         return _grazed(arcs, max_time, k)
     if max_reflections == 1:
         return _arcs(arcs, 1, "reflections")
@@ -463,7 +463,7 @@ def simulate(
         cut = max_time - t0
         return _arcs(arcs + [(start, cut, flow_free(start, cut, k))], 1, "time")
     end = flow_free(start, t_r, k)
-    if _is_grazing(end):
+    if _is_grazing(end, k):
         return _grazed(arcs + [(start, t_r, end)], None if max_time is None else max_time - t0, k)
     dphi = math.atan2(hit.x * end.y - hit.y * end.x, hit.x * end.x + hit.y * end.y)
 

@@ -17,14 +17,9 @@ import numpy as np
 from .model import PhaseState, ValidationError, require_repelling
 from .momentum import gradients
 
-#: eigenvalue real/imaginary parts below this are treated as vanishing
-SPECTRUM_TOL = 1e-10
-
-
 class SpectrumClass(enum.Enum):
     FOCUS_FOCUS = "focus-focus"
     DEGENERATE = "degenerate"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -49,36 +44,21 @@ def linearization_operators(k: float) -> tuple[np.ndarray, np.ndarray]:
     return a_h, a_f
 
 
-def _classify(eigs: tuple[complex, ...]) -> SpectrumClass:
-    for i, a in enumerate(eigs):
-        if abs(a) <= SPECTRUM_TOL:
-            return SpectrumClass.DEGENERATE
-        for b in eigs[i + 1 :]:
-            if abs(a - b) <= SPECTRUM_TOL:
-                return SpectrumClass.DEGENERATE
-    if all(abs(e.real) > SPECTRUM_TOL and abs(e.imag) > SPECTRUM_TOL for e in eigs):
-        return SpectrumClass.FOCUS_FOCUS
-    return SpectrumClass.OTHER
-
-
 def pencil_eigenvalues(k: float, lam: float = 1.0, mu: float = 1.0) -> PencilSpectrum:
     """Spectrum of lam*A_H + mu*A_F from the closed-form quadruple.
 
     In the complex coordinates u = x + i y, v = vx + i vy the pencil member is
     the 2x2 operator [[i mu, -lam k], [lam, i mu]], whose eigenvalues together
-    with their conjugates give +-lam*sqrt(-k) +- i*mu.
+    with their conjugates give +-lam*sqrt(-k) +- i*mu: focus-focus when both reported parts are
+    nonzero, degenerate when one is 0 (or underflows to 0).
     """
     require_repelling(k)
-    if lam == 0.0 and mu == 0.0:
-        raise ValidationError("(lam, mu) = (0, 0) is not a pencil member")
+    if not (math.isfinite(lam) and math.isfinite(mu)) or lam == mu == 0.0:
+        raise ValidationError(f"(lam, mu) = ({lam}, {mu}) is not a pencil member")
     a = lam * math.sqrt(-k)
-    eigs = (
-        complex(a, mu),
-        complex(a, -mu),
-        complex(-a, mu),
-        complex(-a, -mu),
-    )
-    return PencilSpectrum(lam, mu, eigs, _classify(eigs))
+    eigs = (complex(a, mu), complex(a, -mu), complex(-a, mu), complex(-a, -mu))
+    kind = SpectrumClass.FOCUS_FOCUS if a != 0.0 and mu != 0.0 else SpectrumClass.DEGENERATE
+    return PencilSpectrum(lam, mu, eigs, kind)
 
 
 def certify_focus_focus(k: float) -> tuple[bool, PencilSpectrum]:

@@ -15,6 +15,14 @@ from dataclasses import dataclass
 #: physical memory, the most bytes of columns that any call allocates
 MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
+# Every tolerance lives in the w = 1 frame: (x, v, t, k) -> (x, v/w, w t, -1), w = sqrt(-k), takes
+# the system at any k to the one at k = -1 and (h, f) to (h/|k|, f/w), so a test of the scaled
+# quantity answers alike at every k. |r^2 - 1| < BOUNDARY_TOL is on the wall, |v.n|/w < GRAZING_TOL
+# at a wall hit grazes, and SIGMA_TOL bounds how near (h/|k|, f/w) lies to the parabola and (0, 0).
+BOUNDARY_TOL = 1e-9
+GRAZING_TOL = 1e-12
+SIGMA_TOL = 1e-9
+
 
 class ValidationError(ValueError):
     """Input parameters or state violate a precondition."""

@@ -3,6 +3,10 @@
 The map sends a phase state to (h, f) = (H, F). Its image is the convex region
 h >= (f^2 + k)/2; the critical values form the boundary parabola plus the
 isolated point (0, 0), over which sits the n-pinched singular fiber.
+
+A value is judged in the w = 1 frame of model.py: with d = (h - (f^2 + k)/2)/|k|
+it lies outside the image when d < -SIGMA_TOL, on the parabola when |d| <= SIGMA_TOL,
+and is (0, 0) when |h|/|k| and |f|/w are both within SIGMA_TOL. A NaN h or f is refused.
 """
 
 from __future__ import annotations
@@ -15,11 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import (
-    BookTable, MomentumValue, PhaseState, ValidationError, require_fits, require_repelling
+    SIGMA_TOL, BookTable, MomentumValue, PhaseState, ValidationError, require_fits, require_repelling
 )
-
-#: classification tolerance in (h, f) space
-SIGMA_TOL = 1e-9
 
 
 class FiberTag(enum.Enum):
@@ -72,9 +73,8 @@ def gradients(state: PhaseState, k: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def in_image(h: float, f: float, k: float) -> bool:
-    """Whether (h, f) lies in the image of the momentum map."""
-    require_repelling(k)
-    return h >= (f * f + k) / 2.0
+    """Whether (h, f) lies in the image of the momentum map, by classify_fiber()'s outside test."""
+    return classify_fiber(BookTable(k), h, f).tag is not FiberTag.OUTSIDE_IMAGE
 
 
 def inner_radius(h: float, f: float, k: float) -> float:
@@ -97,15 +97,23 @@ def _root_and_rho0(xp, h, f, k):
     return root, xp.where(h > 0.0, f * f, s) / xp.where(h > 0.0, s, -k)
 
 
+def _require_number(h: float, f: float, what="value", error=ValidationError) -> None:
+    """error naming what and (h, f) if h or f is NaN, which no state maps to."""
+    if math.isnan(h) or math.isnan(f):
+        raise error(f"{what} ({h}, {f}) is not finite")
+
+
 def _fiber_tests(h, f, k):
-    """classify_fiber's SIGMA_TOL tests of (h, f), floats or arrays, in deciding order: outside the
-    image, the singular value (0, 0), the parabola. Passing none (NaN too) is a regular value."""
-    d = h - (f * f + k) / 2.0
-    return d < -SIGMA_TOL, (abs(h) <= SIGMA_TOL) & (abs(f) <= SIGMA_TOL), abs(d) <= SIGMA_TOL
+    """classify_fiber's tests of (h, f) in the w = 1 frame, floats or arrays, in deciding order:
+    outside the image, the singular value (0, 0), the parabola. Passing none (NaN too) is regular."""
+    d = (h - (f * f + k) / 2.0) / -k
+    singular = (abs(h) / -k <= SIGMA_TOL) & (abs(f) / math.sqrt(-k) <= SIGMA_TOL)
+    return d < -SIGMA_TOL, singular, abs(d) <= SIGMA_TOL
 
 
 def classify_fiber(table: BookTable, h: float, f: float) -> FiberClass:
-    """Classify the fiber over (h, f); values within SIGMA_TOL of Sigma are singular."""
+    """Classify the fiber over (h, f); values within SIGMA_TOL of Sigma, scaled, are singular."""
+    _require_number(h, f)
     outside, singular, circle = _fiber_tests(h, f, table.k)
     if outside:
         return FiberClass(FiberTag.OUTSIDE_IMAGE)
@@ -119,9 +127,13 @@ def classify_fiber(table: BookTable, h: float, f: float) -> FiberClass:
 def classify_grid(table: BookTable, h, f) -> np.ndarray:
     """classify_fiber's rule on broadcast arrays: the FIBER_TAGS index of each value."""
     h, f = np.asarray(h, dtype=float), np.asarray(f, dtype=float)
+    if np.isnan(h).any() or np.isnan(f).any():  # before broadcasting: a grid's axes, not its cells
+        h_cells, f_cells = (v.ravel() for v in np.broadcast_arrays(h, f))
+        for i in np.flatnonzero(np.isnan(h_cells) | np.isnan(f_cells))[:1]:  # the first NaN cell
+            _require_number(h_cells[i], f_cells[i])
     singular = (FiberTag.OUTSIDE_IMAGE, FiberTag.PINCHED_TORUS, FiberTag.ATOM_A_CIRCLE)
     codes = [FIBER_TAGS.index(tag) for tag in singular]
-    with np.errstate(invalid="ignore"):  # inf - inf in the tests is NaN, as for one float
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, d/|k| may be inf
         tests = _fiber_tests(h, f, table.k)
     return np.select(tests, codes, FIBER_TAGS.index(FiberTag.REGULAR_TORUS))
 

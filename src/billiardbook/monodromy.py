@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import flow_free, time_to_boundary
 from .model import BookTable, ConvergenceError, PhaseState, ValidationError, require_fits
-from .momentum import _FLOATS, _fiber_tests, _root_and_rho0, classify_fiber
+from .momentum import _FLOATS, _fiber_tests, _require_number, _root_and_rho0, classify_fiber
 
 #: unwrapping is unambiguous only if dphi steps stay below this
 UNWRAP_STEP = math.pi / 2
@@ -117,8 +117,7 @@ def _gate(xp, table: BookTable, h, f, what="value", error=ValidationError):
         if usable.all():
             return cosh_wt, rho0
         h, f, cosh_wt = (v[np.argmin(usable)] for v in (h, f, cosh_wt))
-    if math.isnan(h) or math.isnan(f):
-        raise error(f"{what} ({h}, {f}) is not finite")
+    _require_number(h, f, what, error)
     if any(_fiber_tests(h, f, k)):
         tag = classify_fiber(table, h, f).tag.value
         raise error(f"{what} ({h}, {f}) is not a regular value (fiber: {tag})")

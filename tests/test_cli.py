@@ -329,6 +329,60 @@ class TestPlot:
         radii = [math.hypot(*map(float, p.split(","))) for line in points for p in line.split()]
         assert radii and max(radii) <= 1.0 + 1e-5
 
+    def test_start_on_the_parabola_draws_its_inner_circle(self, tmp_path):
+        # this wall start's h - (f^2 + k)/2 rounds to -5.6e-17: classify_fiber calls it an
+        # atom-A circle, and the image test is the classifier's, so r0 = 1 is drawn both ways
+        x, y = math.cos(1.0), math.sin(1.0)
+        initial = [repr(v) for v in (x, y, -0.7 * y, 0.7 * x)]
+        assert run(tmp_path, "simulate", "--initial", *initial, "--time", "3", "--svg") == 0
+        assert main(
+            ["--out-dir", str(tmp_path), "plot", "--trajectory", str(tmp_path / "trajectory.csv"),
+             "--output", str(tmp_path / "plot.svg")]
+        ) == 0
+        for name in ("orbit.svg", "plot.svg"):
+            assert '<circle cx="0" cy="0" r="1.000000"' in (tmp_path / name).read_text()
+
+
+class TestSameAnswerAtEveryK:
+    """Inputs at small |k| answer as the k = -1 inputs they are in the w = 1 frame."""
+
+    def test_regular_value_near_zero(self, tmp_path, capsys):
+        # (1e-10, 1e-10) at k = -1e-12 is (100, 1e-4) at k = -1
+        assert run(tmp_path, "classify", "-k", "-1e-12", "--h", "1e-10", "--f", "1e-10") == 0
+        assert json.loads(capsys.readouterr().out)["tag"] == "regular-torus"
+
+    def test_value_far_outside_the_image(self, tmp_path, capsys):
+        # (h - (f^2 + k)/2)/|k| is about -1e239 here
+        argv = ["classify", "-k", "-3.7e-249", "--h", "-1.55e-26", "--f", "2.96e-5"]
+        assert run(tmp_path, *argv) == 0
+        assert json.loads(capsys.readouterr().out)["tag"] == "outside-image"
+
+    def test_weak_repulsion_is_focus_focus(self, tmp_path):
+        assert run(tmp_path, "eigen", "-k", "-1e-22") == 0
+        doc = json.loads((tmp_path / "spectrum.json").read_text())
+        assert doc["classification"] == "focus-focus"
+
+    @pytest.mark.parametrize("k,f_max,n", [("-1e-20", "1e-10", 2), ("-1e-12", "1e-6", 3)])
+    def test_loop_at_small_k_measures_the_sheet_count(self, tmp_path, k, f_max, n):
+        # the loop with c = 0.5 and f_max = 2 c w, as monodromy -k -1 --c 0.5 --f-max 1
+        argv = ["monodromy", "-k", k, "--c", "0.5", "--f-max", f_max, "-n", str(n)]
+        assert run(tmp_path, *argv) == 0
+        assert json.loads((tmp_path / "monodromy.json").read_text())["m"] == n
+
+    def test_start_at_small_k_reflects_as_its_twin(self, tmp_path, capsys):
+        # (0.5, 0, 3e-14, 7e-14) at k = -1e-26 is (0.5, 0, 0.3, 0.7) at k = -1, and
+        # --time 1e14 is --time 10 there
+        initial = ["--initial", "0.5", "0", "3e-14", "7e-14"]
+        assert run(tmp_path, "simulate", "-k", "-1e-26", *initial, "--reflections", "5") == 0
+        assert capsys.readouterr().err == ""
+        reflections = []
+        for argv in (["-k", "-1e-26", *initial, "--time", "1e14"],
+                     ["-k", "-1", "--initial", "0.5", "0", "0.3", "0.7", "--time", "10"]):
+            assert run(tmp_path, "simulate", *argv) == 0
+            _, columns = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+            reflections.append(int(columns["segment"].max()))  # the last segment is cut
+        assert reflections == [6, 6]
+
 
 @pytest.mark.parametrize(
     "argv,path",

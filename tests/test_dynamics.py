@@ -620,6 +620,40 @@ def test_early_stop_columns(name):
         assert math.fsum(traj.duration) == pytest.approx(stop["max_time"], abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [4.0**-40, 4.0**40])
+@pytest.mark.parametrize("name", EARLY_STOPS)
+def test_early_stop_is_the_same_run_at_every_k(name, scale):
+    """k times a power of 4 scales v by a power of 2 and t by its inverse without rounding, so a
+    run whose tests are made in the w = 1 frame is the same run, bit for bit: the grazing hits
+    and the boundary critical orbit stop where they stop at k = -1 and -4."""
+    table, start, stop, expected, _ = EARLY_STOPS[name]
+    w = math.sqrt(scale)
+    reference = simulate(table, start, **stop)
+    scaled = simulate(
+        BookTable(k=table.k * scale, sheets=table.sheets),
+        PhaseState(start.sheet, start.x, start.y, start.vx * w, start.vy * w),
+        **{key: value / w if key == "max_time" else value for key, value in stop.items()},
+    )
+    assert (scaled.reflections, scaled.stop_reason, scaled.boundary_orbit, len(scaled)) == expected
+    for got, want in ((scaled.start, reference.start), (scaled.end, reference.end)):
+        assert np.array_equal(got[:, :2], want[:, :2]) and np.array_equal(got[:, 2:] / w, want[:, 2:])
+    assert np.array_equal(scaled.duration * w, reference.duration)
+    assert np.array_equal(scaled.sheet, reference.sheet)
+
+
+def test_wall_tests_are_made_in_the_w_1_frame():
+    # at k = -1e-20 (w = 1e-10) a wall speed of 2e-23 is the boundary critical orbit, 2e-21
+    # is not, and reflect() takes an inward speed of 5e-23 for rounding but refuses 2e-22
+    table = BookTable(k=-1e-20, sheets=2)
+    with pytest.raises(ValidationError, match="boundary critical orbit never reflects"):
+        simulate(table, PhaseState(1, 1.0, 0.0, -2e-23, 3e-11), max_reflections=3)
+    traj = simulate(table, PhaseState(1, 1.0, 0.0, -2e-21, 3e-11), max_reflections=3)
+    assert (traj.stop_reason, traj.reflections) == ("reflections", 3)
+    assert reflect(table, PhaseState(1, 1.0, 0.0, -5e-23, 3e-11)).vx == 5e-23
+    with pytest.raises(ValidationError, match="nonnegative outward velocity"):
+        reflect(table, PhaseState(1, 1.0, 0.0, -2e-22, 3e-11))
+
+
 class TestStopReason:
     def test_reflections_and_time(self):
         start = PhaseState(1, 0.5, 0.0, 0.0, 1.0)

@@ -87,6 +87,23 @@ class TestPencilEigenvalues:
         with pytest.raises(ValidationError):
             pencil_eigenvalues(-1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("lam,mu", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                        (1.0, -math.inf)])
+    def test_pencil_that_is_not_finite_rejected(self, lam, mu):
+        with pytest.raises(ValidationError, match=r"^\(lam, mu\) = .* is not a pencil member$"):
+            pencil_eigenvalues(-1.0, lam, mu)
+
+    def test_class_is_read_exactly_from_the_reported_parts(self):
+        # real parts +-1e-11 are small but not 0: four distinct eigenvalues off both axes
+        assert pencil_eigenvalues(-1.0, 1e-11, 1.0).classification is SpectrumClass.FOCUS_FOCUS
+        assert pencil_eigenvalues(-1e-22, 1.0, 1.0).classification is SpectrumClass.FOCUS_FOCUS
+        # lam sqrt(-k) underflows to 0, so the reported quadruple is a double pair
+        spectrum = pencil_eigenvalues(-1e-300, 1e-300, 1.0)
+        assert [e.real for e in spectrum.eigenvalues] == [0.0] * 4
+        assert spectrum.classification is SpectrumClass.DEGENERATE
+        assert pencil_eigenvalues(-1.0, 0.0, 1.0).classification is SpectrumClass.DEGENERATE
+        assert list(SpectrumClass) == [SpectrumClass.FOCUS_FOCUS, SpectrumClass.DEGENERATE]
+
     def test_matches_generic_eigensolver(self):
         # independent oracle: QR eigensolver on the assembled 4x4 pencil member
         rng = np.random.default_rng(11)

@@ -59,6 +59,19 @@ class TestImage:
     def test_below_parabola_outside(self):
         assert not in_image(-1.0, 0.0, K)
 
+    def test_image_rule_is_the_classifiers(self):
+        # 5e-10 below the parabola: within SIGMA_TOL of it, an atom-A circle of radius ~1
+        h, f = -0.4550000005, 0.3
+        assert classify_fiber(TABLE, h, f).tag is FiberTag.ATOM_A_CIRCLE
+        assert in_image(h, f, K)
+        assert inner_radius(h, f, K) == pytest.approx(1.0, abs=1e-9)
+        assert not in_image(h - 2.0 * SIGMA_TOL, f, K)
+        # the same in the w = 1 frame: at k = -1e-12 the values are (1e-12 h, 1e-6 f)
+        assert in_image(h * 1e-12, f * 1e-6, -1e-12)
+        assert not in_image((h - 2.0 * SIGMA_TOL) * 1e-12, f * 1e-6, -1e-12)
+        with pytest.raises(ValidationError, match=r"^value \(nan, 0\.3\) is not finite$"):
+            in_image(math.nan, f, K)
+
     def test_simulated_states_map_into_image(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -152,8 +165,8 @@ class TestClassifyGrid:
                 f.append(fv)
             h += [dh] * len(offsets)
             f += offsets
-        # signed zeros and values that are not finite: NaN passes no test, for a float or an array
-        special = (0.0, -0.0, math.inf, -math.inf, math.nan)
+        # signed zeros and infinities; a NaN is refused, for a float and in an array
+        special = (0.0, -0.0, math.inf, -math.inf)
         h += [hv for hv in special for _ in special]
         f += list(special) * len(special)
         codes = classify_grid(table, np.array(h), np.array(f))
@@ -161,6 +174,23 @@ class TestClassifyGrid:
         assert tags == [classify_fiber(table, hv, fv).tag for hv, fv in zip(h, f)]
         assert set(tags) == set(FiberTag)
         assert grid.ravel().tolist() == codes[: values.size**2].tolist()
+        for hv, fv in [(hv, math.nan) for hv in special + (math.nan,)] + [(math.nan, 0.5)]:
+            message = rf"^value \({hv}, {fv}\) is not finite$"
+            with pytest.raises(ValidationError, match=message):
+                classify_fiber(table, hv, fv)
+            with pytest.raises(ValidationError, match=message):
+                classify_grid(table, np.array(h + [hv, 0.2]), np.array(f + [fv, math.nan]))
+
+    def test_nan_is_refused_from_the_axes_of_a_grid(self):
+        # the first NaN cell of the broadcast grid is named
+        table = BookTable(k=K, sheets=3)
+        h, f = np.array([[0.3], [math.nan]]), np.array([0.1, 0.2, math.nan])
+        with pytest.raises(ValidationError, match=r"^value \(0\.3, nan\) is not finite$"):
+            classify_grid(table, h, f)
+        with pytest.raises(ValidationError, match=r"^value \(nan, 0\.1\) is not finite$"):
+            classify_grid(table, h, f[:2])
+        # an empty grid holds no value, NaN or not
+        assert classify_grid(table, h, np.array([])).shape == (2, 0)
 
 
 class TestBifurcationDiagram:

@@ -317,12 +317,13 @@ class TestLoopAroundOrigin:
             loop_around_origin(BookTable(k=K, sheets=2), f_max=1e8)
 
     def test_singular_corner_is_named_before_the_waypoints(self):
-        # at k = -1e-12 the corner (7.5e-13, 1e-6) lies within SIGMA_TOL of the parabola
+        # at k = -1e-12 the corner (1e-22, 1e-6) lies within SIGMA_TOL of the parabola in the
+        # w = 1 frame, where it reads (1e-10, 1), the corner of the same loop at k = -1
         with pytest.raises(
-            ValidationError, match=r"^loop corner \(7\.5e-13, 1e-06\) is not a regular value "
-            r"\(fiber: atom-A-circle\)$"
+            ValidationError, match=r"^loop corner \(9\.999999683655225e-23, 1e-06\) is not a "
+            r"regular value \(fiber: atom-A-circle\)$"
         ):
-            loop_around_origin(BookTable(k=-1e-12, sheets=2), c=0.5, f_max=1e-6)
+            loop_around_origin(BookTable(k=-1e-12, sheets=2), c=0.9999999999, f_max=1e-6)
 
     @pytest.mark.parametrize("points_per_arc", [64.5, "64", True])
     def test_points_per_arc_that_is_not_an_integer_rejected(self, points_per_arc):
