@@ -164,8 +164,8 @@ CONTINUATION_COLUMNS = ["arc_index", "h", "f", "T_r", "dphi", "theta_unwrapped"]
 
 def write_continuation_csv(path: str | Path, report: MonodromyReport) -> None:
     """One row per continuation sample: its index, then 17-digit floats."""
-    samples = [(s.h, s.f, s.T_r, s.dphi) for s in report.samples]
-    rows = np.column_stack((np.arange(len(samples)), samples, report.theta_unwrapped))
+    s = report.samples
+    rows = np.column_stack((np.arange(len(s)), s.h, s.f, s.T_r, s.dphi, report.theta_unwrapped))
     with _create(path, "") as fh:
         fh.write(",".join(CONTINUATION_COLUMNS) + "\r\n")
         _write_rows(fh, "%d" + ",%.17g" * 5 + "\r\n", rows)
@@ -177,6 +177,8 @@ def monodromy_report_dict(report: MonodromyReport) -> dict:
         "m": report.m,
         "delta_theta": report.delta_theta,
         "unwrap_margin": report.unwrap_margin,
+        "bisections": report.bisections,
+        "samples": len(report.samples),
         "monodromy_matrix": [list(row) for row in report.monodromy_matrix],
         "gluing_matrix_hpos": None if gluing is None else [list(row) for row in gluing],
         "labels": None if labels is None else {

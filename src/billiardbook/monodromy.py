@@ -23,8 +23,11 @@ monodromy integer and equals the sheet count.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -52,6 +55,33 @@ class PeriodSample:
     theta: float
 
 
+class PeriodSamples(Sequence):
+    """Continuation samples as a read-only block of rows h, f, T_r, dphi and theta, compared and
+    hashed as one. Indexing builds PeriodSample values, a slice a tuple of them (ROADMAP item 2)."""
+
+    __slots__ = ("columns", "h", "f", "T_r", "dphi", "theta")
+
+    def __init__(self, columns: np.ndarray) -> None:
+        columns.flags.writeable = False
+        self.h, self.f, self.T_r, self.dphi, self.theta = self.columns = columns
+
+    def __len__(self) -> int:
+        return self.columns.shape[1]
+
+    def __getitem__(self, index):
+        picked = self.columns[:, index].tolist()
+        return tuple(map(PeriodSample, *picked)) if type(index) is slice else PeriodSample(*picked)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PeriodSamples) and np.array_equal(self.columns, other.columns)
+
+    def __hash__(self) -> int:
+        return hash((self.columns + 0.0).tobytes())  # + 0.0: -0.0 and 0.0, equal here, hash alike
+
+    def __reduce__(self):
+        return PeriodSamples, (self.columns,)
+
+
 @dataclass(frozen=True)
 class MoleculeLabels:
     """Fomenko-Zieschang marks of the A--A molecules, derived from measured m."""
@@ -65,11 +95,12 @@ class MoleculeLabels:
 @dataclass(frozen=True)
 class MonodromyReport:
     loop: tuple[tuple[float, float], ...]
-    samples: tuple[PeriodSample, ...]
+    samples: PeriodSamples
     theta_unwrapped: tuple[float, ...]
     delta_theta: float
     m: int
     unwrap_margin: float  # largest |dphi step| over UNWRAP_STEP, below 1
+    bisections: int  # midpoints inserted between waypoints
     monodromy_matrix: tuple[tuple[int, int], tuple[int, int]]
     gluing_matrix_hpos: tuple[tuple[int, int], tuple[int, int]] | None
     labels: MoleculeLabels | None
@@ -195,6 +226,18 @@ def _unwrap(dphi: np.ndarray) -> np.ndarray:
     return dphi - 2.0 * math.pi * np.concatenate(([0.0], turns))
 
 
+def _waypoints(loop) -> np.ndarray:
+    """Rows h, f of the loop, read flat; the first waypoint not a pair of numbers is refused."""
+    with suppress(TypeError, ValueError):
+        if {*map(len, loop)} == {2}:
+            return np.fromiter(chain.from_iterable(loop), float, 2 * len(loop)).reshape(-1, 2).T
+    for i, point in enumerate(loop):
+        with suppress(TypeError, ValueError):
+            if np.fromiter(point, float).shape == (2,):
+                continue
+        raise ValidationError(f"loop waypoint {i} {point!r} is not a pair of numbers")
+
+
 def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> MonodromyReport:
     """Continue the unwrapped theta along the closed loop and read off m.
 
@@ -210,30 +253,26 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
     """
     if len(loop) < 3:
         raise ValidationError("loop needs at least 3 waypoints")
-    h, f = np.asarray(loop, dtype=float).T
-    t_r, dphi = _period_columns(table, h, f, "loop waypoint")
-    # close the loop: its last sample is loop[0] again
-    h, f, t_r, dphi = (np.append(v, v[0]) for v in (h, f, t_r, dphi))
+    # rows h, f, T_r, dphi; the loop is closed: its last sample is loop[0] again
+    block = np.vstack((hf := _waypoints(loop), *_period_columns(table, *hf, "loop waypoint")))
+    block = np.append(block, block[:, :1], axis=1)
 
     for depth in range(MAX_REFINE_DEPTH + 1):
-        unwrapped = _unwrap(dphi)
+        unwrapped = _unwrap(block[3])
         steps = np.abs(np.diff(unwrapped))
         gaps = np.flatnonzero(steps >= UNWRAP_STEP)
         if not gaps.size:
             break
         if depth == MAX_REFINE_DEPTH:
-            i = gaps[0]
+            (h0, f0), (h1, f1) = block[:2, gaps[0]], block[:2, gaps[0] + 1]
             raise ConvergenceError(
-                f"dphi unwrapping did not stabilize between ({h[i]}, {f[i]}) "
-                f"and ({h[i + 1]}, {f[i + 1]})"
+                f"dphi unwrapping did not stabilize between ({h0}, {f0}) and ({h1}, {f1})"
             )
-        mid_h, mid_f = (h[gaps] + h[gaps + 1]) / 2.0, (f[gaps] + f[gaps + 1]) / 2.0
-        midpoint = ("bisection midpoint", ConvergenceError)
-        mids = (mid_h, mid_f, *_period_columns(table, mid_h, mid_f, *midpoint))
-        h, f, t_r, dphi = (np.insert(v, gaps + 1, new) for v, new in zip((h, f, t_r, dphi), mids))
+        mids = (block[:2, gaps] + block[:2, gaps + 1]) / 2.0
+        periods = _period_columns(table, *mids, "bisection midpoint", ConvergenceError)
+        block = np.insert(block, gaps + 1, np.vstack((mids, *periods)), axis=1)
 
     n = table.sheets
-    theta = n * dphi
     unwrapped = (n * unwrapped).tolist()
     # the last sample is loop[0] again, so delta is a whole multiple of 2*pi;
     # m is as trustworthy as the largest step is clear of the unwrapping limit
@@ -242,13 +281,12 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
     # h > 0 gluing matrix [[1, m], [0, -1]]: r = alpha/beta mod 1 = 1/m mod 1
     return MonodromyReport(
         loop=tuple(loop),
-        samples=tuple(
-            map(PeriodSample, h.tolist(), f.tolist(), t_r.tolist(), dphi.tolist(), theta.tolist())
-        ),
+        samples=PeriodSamples(np.vstack((block, n * block[3]))),
         theta_unwrapped=tuple(unwrapped),
         delta_theta=delta,
         m=m,
         unwrap_margin=float(steps.max()) / UNWRAP_STEP,
+        bisections=block.shape[1] - len(loop) - 1,
         monodromy_matrix=((1, 0), (m, 1)),
         gluing_matrix_hpos=((1, m), (0, -1)) if m != 0 else None,
         labels=MoleculeLabels(math.inf, Fraction(1, m) % 1, 1, m) if m >= 1 else None,

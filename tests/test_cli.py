@@ -274,6 +274,8 @@ class TestMonodromy:
         assert doc["config"]["c"] == 0.5
         assert 0.0 < doc["unwrap_margin"] < 1.0
         _, columns = io.read_csv(tmp_path / "continuation.csv")
+        assert doc["bisections"] == 0
+        assert doc["samples"] == len(columns["arc_index"]) == len(doc["loop"]) + 1
         assert columns["arc_index"][0] == 0
         span = columns["theta_unwrapped"][-1] - columns["theta_unwrapped"][0]
         assert span == pytest.approx(3 * 2 * math.pi, abs=1e-9)
@@ -281,6 +283,16 @@ class TestMonodromy:
     def test_coarse_loop_measures_the_sheet_count(self, tmp_path):
         assert run(tmp_path, "monodromy", "-k", "-1", "-n", "3", "--points-per-arc", "2") == 0
         assert json.loads((tmp_path / "monodromy.json").read_text())["m"] == 3
+
+    def test_bisected_loop_reports_its_counters(self, tmp_path):
+        assert run(
+            tmp_path, "monodromy", "-n", "5", "--c", "0.5", "--f-max", "0.55", "--points-per-arc", "4"
+        ) == 0
+        doc = json.loads((tmp_path / "monodromy.json").read_text())
+        _, columns = io.read_csv(tmp_path / "continuation.csv")
+        assert doc["m"] == 5
+        assert doc["samples"] == len(columns["arc_index"])
+        assert doc["bisections"] == doc["samples"] - len(doc["loop"]) - 1 > 0
 
     def test_bisection_through_the_singular_value_exits_3(self, tmp_path, capsys):
         code = run(

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import re
 import warnings
 from fractions import Fraction
@@ -12,6 +14,7 @@ from billiardbook import (
     BookTable,
     ConvergenceError,
     FiberTag,
+    PeriodSample,
     ValidationError,
     boundary_state,
     classify_fiber,
@@ -22,7 +25,7 @@ from billiardbook import (
     radial_period_simulated,
     simulate,
 )
-from billiardbook.monodromy import _period_columns, theta_center_limit
+from billiardbook.monodromy import PeriodSamples, _period_columns, theta_center_limit
 
 K = -1.0
 KS = (-0.25, -1.0, -4.0)
@@ -380,6 +383,7 @@ class TestContinueTheta:
             report = continue_theta(table, loop)
             reference = per_sample_continuation(table, loop)
             assert [(s.h, s.f) for s in report.samples] == loop + [loop[0]]
+            assert report.bisections == 0
             assert np.abs(np.array(report.theta_unwrapped) - reference).max() <= 1e-12
             assert report.m == round((reference[-1] - reference[0]) / (2.0 * math.pi)) == n
 
@@ -388,7 +392,7 @@ class TestContinueTheta:
         loop = loop_around_origin(table, c=0.5, f_max=0.55, points_per_arc=4)
         report = continue_theta(table, loop)
         assert report.m == 5
-        assert len(report.samples) > len(loop) + 1
+        assert report.bisections == len(report.samples) - len(loop) - 1 > 0
         assert len(report.theta_unwrapped) == len(report.samples)
         # every sample is the next waypoint or lies on the current edge,
         # further along it than the sample before
@@ -497,6 +501,19 @@ class TestContinueTheta:
         with pytest.raises(ValidationError, match=r"^loop corner \(nan, nan\) is not finite$"):
             loop_around_origin(table, f_max=math.nan)
 
+    @pytest.mark.parametrize("loop,named", [
+        ([(0.3, 0.5, 1.0)] * 3, r"0 \(0\.3, 0\.5, 1\.0\)"),
+        ([(0.3, 0.5), (0.2,)] * 2, r"1 \(0\.2,\)"),
+        ([("a", "b")] * 3, r"0 \('a', 'b'\)"),
+        # 8 numbers for 4 waypoints: the count alone would read them as pairs
+        ([(0.3, 0.5), (0.3, 0.5, 1.0), (0.2,), (0.1, 0.2)], r"1 \(0\.3, 0\.5, 1\.0\)"),
+        ([(0.3, 0.5), (0.2, 0.1), 0.4], r"2 0\.4"),
+    ], ids=["3-tuples", "ragged", "not-numbers", "ragged-to-an-even-count", "not-a-pair"])
+    def test_malformed_waypoint_is_refused_by_name(self, loop, named):
+        table = BookTable(k=K, sheets=2)
+        with pytest.raises(ValidationError, match=rf"^loop waypoint {named} is not a pair of numbers$"):
+            continue_theta(table, loop)
+
     def test_first_unusable_waypoint_is_named(self):
         # (0, 0) has a period gate value of inf, so only its fiber refuses it, before (1e16, 0.5)
         table = BookTable(k=K, sheets=2)
@@ -526,6 +543,88 @@ class TestContinueTheta:
         for (h, f), theta in by_value.items():
             if (h, -f) in by_value and f != 0.0:
                 assert by_value[(h, -f)] == pytest.approx(-theta, abs=1e-10)
+
+
+class TestPeriodSamples:
+    """report.samples: columns, read as PeriodSample values only on demand."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        table = BookTable(k=K, sheets=5)
+        return continue_theta(table, loop_around_origin(table, c=0.5, f_max=0.55, points_per_arc=4))
+
+    @staticmethod
+    def tuple_form(samples):
+        """The samples as the tuple of PeriodSample values a report held before."""
+        rows = zip(samples.h, samples.f, samples.T_r, samples.dphi, samples.theta)
+        return tuple(PeriodSample(*map(float, row)) for row in rows)
+
+    def test_continuation_builds_no_period_sample(self, monkeypatch):
+        built, init = [], PeriodSample.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PeriodSample, "__init__", counting)
+        table = BookTable(k=K, sheets=3)
+        report = continue_theta(table, loop_around_origin(table, points_per_arc=256))
+        assert built == []
+        report.samples[-1]
+        assert len(built) == 1
+
+    def test_indexing(self, report):
+        samples, old = report.samples, self.tuple_form(report.samples)
+        assert len(samples) == len(old) > 8
+        for i in (0, 7, len(old) - 1, -1, -len(old)):
+            assert samples[i] == old[i]
+            assert all(type(v) is float for v in dataclasses.astuple(samples[i]))
+        for i in (len(old), -len(old) - 1):
+            with pytest.raises(IndexError):
+                samples[i]
+
+    def test_slices_are_tuples_of_the_old_form(self, report):
+        samples, old = report.samples, self.tuple_form(report.samples)
+        for cut in (slice(None, 7), slice(8, None), slice(None), slice(-3, None),
+                    slice(None, None, -2), slice(5, 2)):
+            assert type(samples[cut]) is tuple
+            assert samples[cut] == old[cut]
+        assert samples[:7] + (old[7],) + samples[8:] == old
+
+    def test_iteration_is_indexing(self, report):
+        samples = report.samples
+        assert list(samples) == [samples[i] for i in range(len(samples))]
+
+    def test_equality_and_hash_agree(self, report):
+        block = np.array([[0.0, 0.5]] * 5)
+        negative = block.copy()
+        negative[:, 0] = -0.0
+        assert PeriodSamples(block) == PeriodSamples(negative)
+        assert hash(PeriodSamples(block)) == hash(PeriodSamples(negative))
+        assert PeriodSamples(block) != PeriodSamples(block[:, :1].copy())
+        assert PeriodSamples(block) != tuple(PeriodSamples(block))
+        table = BookTable(k=K, sheets=5)
+        again = continue_theta(table, list(report.loop))
+        assert again == report and hash(again) == hash(report)
+        assert again.samples is not report.samples
+
+    def test_pickle_round_trip(self, report):
+        back = pickle.loads(pickle.dumps(report))
+        assert back == report and hash(back) == hash(report)
+        assert not back.samples.columns.flags.writeable
+
+    def test_columns_refuse_writes(self, report):
+        samples = report.samples
+        for column in (samples.columns, samples.h, samples.f, samples.T_r, samples.dphi, samples.theta):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
+    def test_report_takes_a_tuple_of_samples(self, report):
+        old = self.tuple_form(report.samples)
+        replaced = dataclasses.replace(report, samples=old)
+        assert replaced.samples is old
+        assert replaced != report
+        hash(replaced)
 
 
 class TestMoleculeLabels:
