@@ -28,7 +28,7 @@ error does not grow with the number of reflections.
 
 Each test is made in the w = 1 frame of model.py: a wall hit grazes when |v.n|/w < GRAZING_TOL,
 and a start is on the boundary critical orbit when its orbit's (v.n/w)^2 at the wall,
-((x.v)^2 + (1 - r^2)(|v|^2 - k))/|k|, is below GRAZING_TOL^2.
+_wall_speed2(), is below GRAZING_TOL^2.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .model import (
     BOUNDARY_TOL, GRAZING_TOL, BookTable, ConvergenceError, PhaseState, ValidationError,
-    require_fits, require_repelling,
+    is_integer, require_fits, require_repelling,
 )
 from .momentum import h_and_f, momentum_map
 
@@ -193,14 +193,25 @@ def flow_free(state: PhaseState, t: float, k: float) -> PhaseState:
     return PhaseState(state.sheet, *_flow(state.x, state.y, state.vx, state.vy, w, math.exp(w * t)))
 
 
+def _wall_speed2(state: PhaseState, k: float) -> float:
+    """(v.n/w)^2 where the orbit through state meets the wall.
+
+    It is (2h - k - f^2)/|k| = (1 - r^2)(1 + |v/w|^2) + (x.v/w)^2, a sum of
+    non-negative terms on the closed disk, and the discriminant of the
+    wall-hit time's quadratic.
+    """
+    xv = (state.x * state.vx + state.y * state.vy) / math.sqrt(-k)
+    return max(1.0 - state.r2, 0.0) * (1.0 + state.speed2 / -k) + xv * xv
+
+
 def time_to_boundary(state: PhaseState, k: float) -> float:
     """Smallest t >= 0 with r(t) = 1 under the free flow.
 
     u = exp(2wt) is the larger root of |a|^2 u^2 - (1 - 2a.b) u + |b|^2 = 0.
-    On the closed disk 1 - 2a.b >= 1/2 and the discriminant
-    (1 - r^2)(1 + |v/w|^2) + (x.v/w)^2 is a sum of non-negative terms, so the
-    root has no cancellation. A start within BOUNDARY_TOL outside the wall
-    counts as on it; a start on the wall moving outward returns 0.
+    On the closed disk 1 - 2a.b >= 1/2 and the discriminant _wall_speed2()
+    is a sum of non-negative terms, so the root has no cancellation. A start
+    within BOUNDARY_TOL outside the wall counts as on it; a start on the wall
+    moving outward returns 0.
     """
     require_repelling(k)
     r2 = state.r2
@@ -215,12 +226,10 @@ def time_to_boundary(state: PhaseState, k: float) -> float:
             "state lies on the stable manifold of the equilibrium and never "
             "reaches the boundary"
         )
-    s = state.speed2 / -k
-    xv = (state.x * state.vx + state.y * state.vy) / w
-    disc = max(1.0 - r2, 0.0) * (1.0 + s) + xv * xv
     # u = (1 - 2a.b + sqrt(disc)) / (2|a|^2) with 2a.b = (r^2 - |v/w|^2)/2,
     # taken as a difference of logs since u overflows when |a|^2 is tiny
-    log_u = math.log(1.0 - 0.5 * (r2 - s) + math.sqrt(disc)) - math.log(2.0 * a2)
+    disc = _wall_speed2(state, k)
+    log_u = math.log(1.0 - 0.5 * (r2 - state.speed2 / -k) + math.sqrt(disc)) - math.log(2.0 * a2)
     return max(log_u, 0.0) / (2.0 * w)
 
 
@@ -235,17 +244,14 @@ def reflect(table: BookTable, state: PhaseState) -> PhaseState:
     return PhaseState(table.next_sheet(state.sheet), state.x, state.y, vx, vy)
 
 
-def _rotate(state: PhaseState, angle: float) -> PhaseState:
-    c, s = math.cos(angle), math.sin(angle)
-    return PhaseState(state.sheet, *_rotated(state.x, state.y, state.vx, state.vy, c, s))
-
-
 def sample_segment(segment: TrajectorySegment, k: float, count: int) -> list[PhaseState]:
     """States at count+1 equally spaced times along the segment (ends included)."""
     start, duration = segment.start, segment.duration
     if segment.boundary_orbit:
         _, f = h_and_f(start.x, start.y, start.vx, start.vy, k)
-        return [_rotate(start, f * duration * i / count) for i in range(count + 1)]
+        angles = (f * duration * i / count for i in range(count + 1))
+        row = (start.x, start.y, start.vx, start.vy)
+        return [PhaseState(start.sheet, *_rotated(*row, math.cos(a), math.sin(a))) for a in angles]
     return [flow_free(start, duration * i / count, k) for i in range(count + 1)]
 
 
@@ -279,15 +285,13 @@ def _sample_trajectory(
         yield lo, tau, states
 
 
-def _is_grazing(hit: PhaseState, k: float) -> bool:
-    return abs(hit.x * hit.vx + hit.y * hit.vy) < GRAZING_TOL * math.sqrt(-k)
-
-
 def _slide(state: PhaseState, duration: float, k: float) -> tuple[PhaseState, float, PhaseState]:
     """The arc that slides along the wall from a state on it, as pure rotation."""
     # on r = 1 the angular speed equals f
-    _, f = h_and_f(state.x, state.y, state.vx, state.vy, k)
-    return state, duration, _rotate(state, f * duration)
+    row = (state.x, state.y, state.vx, state.vy)
+    angle = h_and_f(*row, k)[1] * duration
+    end = _rotated(*row, math.cos(angle), math.sin(angle))
+    return state, duration, PhaseState(state.sheet, *end)
 
 
 def _arcs(arcs: list, reflections: int, stop_reason: str, boundary_orbit=False) -> Trajectory:
@@ -304,14 +308,6 @@ def _arcs(arcs: list, reflections: int, stop_reason: str, boundary_orbit=False) 
     )
 
 
-def _grazed(arcs: list, time_left: float | None, k: float) -> Trajectory:
-    """A tangential hit ends the last arc; the rest of max_time slides along the wall."""
-    _, t_hit, hit = arcs[-1]
-    sliding = time_left is not None and time_left > t_hit
-    tail = [_slide(hit, time_left - t_hit, k)] if sliding else []
-    return _arcs(arcs + tail, len(arcs) - 1, "grazing", sliding)
-
-
 def _hit_count(
     t0: float, t_r: float, max_reflections: int | None, max_time: float | None
 ) -> tuple[int, float | None]:
@@ -321,15 +317,14 @@ def _hit_count(
     whose columns exceed physical memory is refused before it is made exact,
     since at such sizes t0 + j*t_r cannot tell j from j + 1.
     """
-    msg = "%d wall hits (max_reflections=%r, max_time=%r)"
-    if max_time is None or (
+    counted = max_time is None or (
         max_reflections is not None and t0 + (max_reflections - 1) * t_r < max_time
-    ):
-        hits = int(max_reflections)
-        require_fits(hits * _ROW_BYTES, msg, hits, max_reflections, max_time)
-        return max_reflections, None
-    hits = max(math.ceil((max_time - t0) / t_r), 1)
+    )
+    hits = int(max_reflections) if counted else max(math.ceil((max_time - t0) / t_r), 1)
+    msg = "%d wall hits (max_reflections=%r, max_time=%r)"
     require_fits(hits * _ROW_BYTES, msg, hits, max_reflections, max_time)
+    if counted:
+        return max_reflections, None
     while t0 + (hits - 1) * t_r >= max_time:
         hits -= 1
     while t0 + hits * t_r < max_time:
@@ -374,9 +369,8 @@ def _bounce_map(
     duration = np.full(rows, t_r)
     duration[0] = t0
     if tail is not None:
-        last = PhaseState(int(sheet[-1]), *start[-1].tolist())
-        stop = flow_free(last, tail, table.k)
-        end[-1] = (stop.x, stop.y, stop.vx, stop.vy)
+        w = math.sqrt(-table.k)
+        end[-1] = _flow(*start[-1].tolist(), w, math.exp(w * tail))
         duration[-1] = tail
     stop_reason = "reflections" if tail is None else "time"
     return Trajectory((start, end, sheet, duration), hits, stop_reason)
@@ -390,9 +384,10 @@ def simulate(
 ) -> Trajectory:
     """Propagate until a stop condition by the closed-form bounce map.
 
-    time_to_boundary() and flow_free() solve the head arc, from the initial
-    state to the first wall hit, and the first full arc, from that hit
-    through reflect() to the next one. The full arc gives T_r (its duration)
+    One step of time_to_boundary() and flow_free() solves the head arc, from
+    the initial state to the first wall hit, then the first full arc, from
+    that hit through reflect() to the next one; it tests each stop once, in
+    the order the stops come in time. The full arc gives T_r (its duration)
     and dphi (the signed angle between its ends). Every later arc starts at
     the reflection of the previous hit, lasts T_r and ends at the first hit
     rotated by a multiple of dphi, one sheet further on. Each segment ends at
@@ -403,11 +398,8 @@ def simulate(
     """
     if max_reflections is None and max_time is None:
         raise ValidationError("a stop condition (max_reflections or max_time) is required")
-    if max_reflections is not None:
-        if isinstance(max_reflections, bool) or not isinstance(max_reflections, (int, np.integer)):
-            raise ValidationError(f"max_reflections must be an integer, got {max_reflections!r}")
-        if max_reflections < 0:
-            raise ValidationError("max_reflections must be nonnegative")
+    if max_reflections is not None and not (is_integer(max_reflections) and max_reflections >= 0):
+        raise ValidationError(f"max_reflections must be an integer >= 0, got {max_reflections!r}")
     # 0 < nan is false, so this refuses a NaN max_time too
     if max_time is not None and not 0 < max_time < math.inf:
         raise ValidationError(f"max_time must be positive and finite, got {max_time!r}")
@@ -427,45 +419,41 @@ def simulate(
             "it is reported, not propagated"
         )
 
-    # Critical orbit: the normal speed the orbit has at the wall vanishes.
-    # (v.n)^2 there is 2h - k - f^2 = (x.v)^2 + (1 - r^2)(|v|^2 - k), a sum
-    # of non-negative terms inside the disk (time_to_boundary's discriminant
-    # times w^2), and over w^2 = -k it is (v.n/w)^2, the grazing test squared.
-    # The region of motion is then the wall circle, propagated as pure rotation.
-    xv = initial.x * initial.vx + initial.y * initial.vy
-    if (xv * xv + max(1.0 - r2, 0.0) * (initial.speed2 - k)) / -k < GRAZING_TOL**2:
+    # Critical orbit: the orbit meets the wall at v.n = 0, so its region of
+    # motion is the wall circle, propagated as pure rotation.
+    if _wall_speed2(initial, k) < GRAZING_TOL**2:
         if max_time is None:
             raise ValidationError("the boundary critical orbit never reflects; use max_time")
         return _arcs([_slide(initial, max_time, k)], 0, "time", boundary_orbit=True)
-    if max_reflections == 0:
-        return _arcs([], 0, "reflections")
 
-    t0 = time_to_boundary(initial, k)
-    if max_time is not None and t0 >= max_time:
-        return _arcs([(initial, max_time, flow_free(initial, max_time, k))], 0, "time")
-    hit = flow_free(initial, t0, k)
-    residual = abs(hit.r2 - 1.0)
-    if not residual < BOUNDARY_TOL:  # the wall-hit solver failed: no input is at fault
-        raise ConvergenceError(f"the first wall hit is off the wall: |r^2 - 1| = {residual:.3g}")
-    arcs = [(initial, t0, hit)]
-    if _is_grazing(hit, k):
-        return _grazed(arcs, max_time, k)
-    if max_reflections == 1:
-        return _arcs(arcs, 1, "reflections")
+    arcs, clock = [], 0.0
+    for made in range(2):  # reflections made before the step: the head arc, then the full arc
+        if made == max_reflections:
+            return _arcs(arcs, made, "reflections")
+        start = reflect(table, hit) if made else initial
+        try:
+            t = time_to_boundary(start, k)
+        except ValidationError:
+            if not made:
+                raise
+            # start lies on the wall, so the stable manifold is the only refusal left
+            return _arcs(arcs, made, "stable-manifold")
+        if max_time is not None and clock + t >= max_time:
+            cut = max_time - clock
+            return _arcs(arcs + [(start, cut, flow_free(start, cut, k))], made, "time")
+        hit = flow_free(start, t, k)
+        residual = abs(hit.r2 - 1.0)
+        if not (made or residual < BOUNDARY_TOL):  # the wall-hit solver failed: no input is at fault
+            raise ConvergenceError(f"the first wall hit is off the wall: |r^2 - 1| = {residual:.3g}")
+        arcs.append((start, t, hit))
+        if abs(hit.x * hit.vx + hit.y * hit.vy) < GRAZING_TOL * math.sqrt(-k):
+            # a tangential hit ends the run; the rest of max_time slides along the wall
+            slides = max_time is not None and max_time - clock > t
+            tail = [_slide(hit, (max_time - clock) - t, k)] if slides else []
+            return _arcs(arcs + tail, made, "grazing", slides)
+        clock += t
 
-    start = reflect(table, hit)
-    try:
-        t_r = time_to_boundary(start, k)
-    except ValidationError:
-        # start lies on the wall, so the stable manifold is the only refusal left
-        return _arcs(arcs, 1, "stable-manifold")
-    if max_time is not None and t0 + t_r >= max_time:
-        cut = max_time - t0
-        return _arcs(arcs + [(start, cut, flow_free(start, cut, k))], 1, "time")
-    end = flow_free(start, t_r, k)
-    if _is_grazing(end, k):
-        return _grazed(arcs + [(start, t_r, end)], None if max_time is None else max_time - t0, k)
-    dphi = math.atan2(hit.x * end.y - hit.y * end.x, hit.x * end.x + hit.y * end.y)
-
+    (_, t0, first), (_, t_r, end) = arcs
+    dphi = math.atan2(first.x * end.y - first.y * end.x, first.x * end.x + first.y * end.y)
     hits, tail = _hit_count(t0, t_r, max_reflections, max_time)
-    return _bounce_map(table, initial, hit, t0, t_r, dphi, hits, tail)
+    return _bounce_map(table, initial, first, t0, t_r, dphi, hits, tail)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import _CHUNK, Trajectory, _sample_trajectory
 from .linearization import PencilSpectrum
-from .model import BookTable, ValidationError, require_fits
+from .model import BookTable, ValidationError, is_integer, require_fits
 from .momentum import FIBER_TAGS, BifurcationDiagram, FiberTag, classify_grid, h_and_f
 from .monodromy import MonodromyReport
 
@@ -90,8 +90,8 @@ def write_trajectory_csv(
     as ints, then t, x, y, vx, vy, h and f to 17 digits, ending in ``\\r\\n``.
     """
     k, count = table.k, samples_per_segment
-    if count < 1:
-        raise ValidationError(f"samples per segment must be at least 1, got {count!r}")
+    if not (is_integer(count) and count >= 1):
+        raise ValidationError(f"samples_per_segment must be an integer >= 1, got {count!r}")
     chunk_rows = min(len(trajectory), _CHUNK) * (int(count) + 1)  # 9 floats a row
     require_fits(9 * 8 * chunk_rows, "samples_per_segment=%r", count)
     line = "%d,%d" + ",%.17g" * 7 + "\r\n"

@@ -12,6 +12,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 #: physical memory, the most bytes of columns that any call allocates
 MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -39,6 +41,11 @@ def require_fits(size: int, what: str, *args) -> None:
         raise ValidationError(f"{what} would take {size} bytes; physical memory is {MEMORY_BYTES}")
 
 
+def is_integer(value) -> bool:
+    """The rule for every count and sheet: an int or a numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_repelling(k: float) -> None:
     """Refuse a Hooke coefficient k that is not finite and negative."""
     if not -math.inf < k < 0:
@@ -58,14 +65,12 @@ class BookTable:
 
     def __post_init__(self) -> None:
         require_repelling(self.k)
-        if isinstance(self.sheets, bool) or not isinstance(self.sheets, int) or self.sheets < 1:
-            raise ValidationError(f"n must be >= 1 and of type int, got {self.sheets!r}")
+        if not (is_integer(self.sheets) and self.sheets >= 1):
+            raise ValidationError(f"n must be an integer >= 1, got {self.sheets!r}")
 
     def next_sheet(self, sheet: int) -> int:
-        if not (isinstance(sheet, int) and 1 <= sheet <= self.sheets):
-            raise ValidationError(
-                f"sheet must be in 1..{self.sheets}, got {sheet!r}"
-            )
+        if not (is_integer(sheet) and 1 <= sheet <= self.sheets):
+            raise ValidationError(f"sheet must be in 1..{self.sheets}, got {sheet!r}")
         return sheet % self.sheets + 1
 
 

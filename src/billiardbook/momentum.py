@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import (
-    SIGMA_TOL, BookTable, MomentumValue, PhaseState, ValidationError, require_fits, require_repelling
+    SIGMA_TOL, BookTable, MomentumValue, PhaseState, ValidationError, is_integer, require_fits,
+    require_repelling,
 )
 
 
@@ -153,8 +154,8 @@ def bifurcation_diagram(
 ) -> BifurcationDiagram:
     """Sample the bifurcation diagram over an f-range."""
     require_repelling(k)
-    if resolution < 2:
-        raise ValidationError("resolution must be >= 2")
+    if not (is_integer(resolution) and resolution >= 2):
+        raise ValidationError(f"resolution must be an integer >= 2, got {resolution!r}")
     if f_min == f_max:
         raise ValidationError(f"f_min and f_max must differ, both are {f_min!r}")
     require_fits(2 * 8 * int(resolution), "resolution=%r", resolution)  # the f and h columns

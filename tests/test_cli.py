@@ -95,9 +95,9 @@ class TestSimulate:
             (["--initial", "0.5", "0", "0", "1", "--time", "1e15"], "wall hits"),
             (["--initial", "0.5", "0", "0", "1", "--time", "1e30"], "wall hits"),
             (["--seed", "1", "--reflections", "3", "--samples-per-segment", "0"],
-             "samples per segment"),
+             "samples_per_segment must be an integer >= 1"),
             (["--seed", "1", "--reflections", "3", "--samples-per-segment", "-1"],
-             "samples per segment"),
+             "samples_per_segment must be an integer >= 1"),
             (["--initial", "0.5", "0", "0", "1e160", "--reflections", "3"], "H and F"),
             (["--seed", "1", "--reflections", "1", "--samples-per-segment", "100000000000000"],
              "samples_per_segment="),

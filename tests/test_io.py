@@ -214,7 +214,7 @@ def test_samples_beyond_memory_rejected(tmp_path):
 def test_fewer_than_one_sample_per_segment_rejected(tmp_path, count):
     table, start, stop = RUNS[0]
     traj = simulate(table, start, **stop)
-    with pytest.raises(ValidationError, match="samples per segment must be at least 1"):
+    with pytest.raises(ValidationError, match="^samples_per_segment must be an integer >= 1, got "):
         io.write_trajectory_csv(tmp_path / "trajectory.csv", table, traj, count)
     assert not (tmp_path / "trajectory.csv").exists()
 

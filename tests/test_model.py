@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,10 +14,13 @@ from billiardbook import (
     flow_free,
     in_image,
     linearization_operators,
+    loop_around_origin,
     pencil_eigenvalues,
+    reflect,
     simulate,
     time_to_boundary,
 )
+from billiardbook.io import write_trajectory_csv
 
 STATE = PhaseState(1, 0.3, 0.1, 0.4, -0.7)
 #: every entry point that takes the Hooke coefficient k itself
@@ -52,13 +57,13 @@ def test_k_that_is_not_finite_and_negative_rejected(entry, k):
 
 
 def test_empty_book_rejected():
-    with pytest.raises(ValidationError, match="n must be >= 1"):
+    with pytest.raises(ValidationError, match="^n must be an integer >= 1, got 0$"):
         BookTable(k=-1.0, sheets=0)
 
 
 def test_bool_counts_rejected():
     # True == 1, so only the type tells a flag from a count
-    with pytest.raises(ValidationError, match="n must be >= 1"):
+    with pytest.raises(ValidationError, match="^n must be an integer >= 1, got True$"):
         BookTable(k=-1.0, sheets=True)
     with pytest.raises(ValidationError, match="max_reflections must be an integer"):
         simulate(BookTable(k=-1.0), STATE, max_reflections=True)
@@ -75,6 +80,46 @@ def test_next_sheet_out_of_range():
     for bad in (0, 4, -1):
         with pytest.raises(ValidationError):
             table.next_sheet(bad)
+
+
+def test_a_runs_own_sheet_is_a_sheet():
+    # the sheet column holds numpy integers: next_sheet() and reflect() take them
+    table = BookTable(k=-1.0, sheets=np.int64(3))
+    traj = simulate(table, PhaseState(1, 0.5, 0.0, 0.0, 1.0), max_reflections=4)
+    sheet = traj.sheet[-1]
+    assert repr(sheet) == "np.int64(1)" and table.next_sheet(sheet) == 2
+    assert reflect(table, PhaseState(sheet, *traj.end[-1].tolist())).sheet == 2
+    for bad in (0, 4, True, 1.0):
+        message = rf"^sheet must be in 1\.\.3, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValidationError, match=message):
+            table.next_sheet(bad)
+
+
+def _write_samples(count, path):
+    table = BookTable(k=-1.0)
+    trajectory = simulate(table, STATE, max_reflections=2)
+    write_trajectory_csv(path / "trajectory.csv", table, trajectory, samples_per_segment=count)
+
+
+#: every count the package takes: (a call with the count, the least count it takes)
+COUNTS = {
+    "n": (lambda count, _: BookTable(k=-1.0, sheets=count), 1),
+    "max_reflections": (lambda count, _: simulate(BookTable(-1.0), STATE, max_reflections=count), 0),
+    "points_per_arc": (lambda count, _: loop_around_origin(BookTable(-1.0), points_per_arc=count), 2),
+    "samples_per_segment": (_write_samples, 1),
+    "resolution": (lambda count, _: bifurcation_diagram(-1.0, resolution=count), 2),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_one_rule_for_counts(name, tmp_path):
+    # a bool, a fraction and a count below the least are refused alike; a numpy integer is a count
+    call, least = COUNTS[name]
+    for count in (True, least + 0.5, least - 1):
+        message = rf"^{name} must be an integer >= {least}, got {re.escape(repr(count))}$"
+        with pytest.raises(ValidationError, match=message):
+            call(count, tmp_path)
+    call(np.int64(least), tmp_path)
 
 
 @given(n=st.integers(min_value=1, max_value=12), start=st.integers(min_value=1, max_value=12))

@@ -331,7 +331,7 @@ class TestLoopAroundOrigin:
     @pytest.mark.parametrize("points_per_arc", [64.5, "64", True])
     def test_points_per_arc_that_is_not_an_integer_rejected(self, points_per_arc):
         table = BookTable(k=K, sheets=1)
-        with pytest.raises(ValidationError, match=r"^points_per_arc must be an integer, got "):
+        with pytest.raises(ValidationError, match=r"^points_per_arc must be an integer >= 2, got "):
             loop_around_origin(table, points_per_arc=points_per_arc)
         assert loop_around_origin(table, points_per_arc=np.int64(64)) == loop_around_origin(table)
 
