@@ -2,10 +2,8 @@
 
 from .dynamics import (
     Trajectory,
-    TrajectorySegment,
     flow_free,
     reflect,
-    sample_segment,
     simulate,
     time_to_boundary,
 )
@@ -43,10 +41,8 @@ from .monodromy import (
     boundary_state,
     continue_theta,
     loop_around_origin,
-    molecule_labels,
     radial_period_quadrature,
     radial_period_simulated,
-    theta_center_limit,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +62,6 @@ __all__ = [
     "PhaseState",
     "SpectrumClass",
     "Trajectory",
-    "TrajectorySegment",
     "ValidationError",
     "bifurcation_diagram",
     "boundary_state",
@@ -80,14 +75,11 @@ __all__ = [
     "inner_radius",
     "linearization_operators",
     "loop_around_origin",
-    "molecule_labels",
     "momentum_map",
     "pencil_eigenvalues",
     "radial_period_quadrature",
     "radial_period_simulated",
     "reflect",
-    "sample_segment",
     "simulate",
-    "theta_center_limit",
     "time_to_boundary",
 ]

@@ -53,9 +53,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     parser.add_argument("--out-dir", type=Path, help=f"output directory (or ${OUT_DIR_ENV})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, sheets=True):
         p.add_argument("-k", type=_finite, default=None, help="Hooke coefficient, negative")
-        p.add_argument("-n", "--sheets", type=int, default=None, help="number of sheets")
+        if sheets:  # diagram and eigen do not depend on the sheet count
+            p.add_argument("-n", "--sheets", type=int, default=None, help="number of sheets")
 
     p = sub.add_parser("simulate", help="propagate a trajectory, write CSV (and SVG)")
     common(p)
@@ -71,7 +72,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
 
     p = sub.add_parser("diagram", help="bifurcation diagram CSV (and SVG)")
-    common(p)
+    common(p, sheets=False)
     p.add_argument("--f-min", type=_finite, default=None)
     p.add_argument("--f-max", type=_finite, default=None)
     p.add_argument("--resolution", type=int, default=None)
@@ -89,7 +90,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--resolution", type=int, default=None)
 
     p = sub.add_parser("eigen", help="pencil spectrum JSON report")
-    common(p)
+    common(p, sheets=False)
     p.add_argument("--lam", type=_finite, default=None)
     p.add_argument("--mu", type=_finite, default=None)
 

@@ -82,9 +82,8 @@ class Trajectory(Sequence):
     wall again).
 
     As a sequence it yields TrajectorySegment values, built from the columns
-    when they are asked for, and it hashes as the tuple of those values. That
-    view and hash exist because the benchmark in bench/ reads them; they go
-    once it reads the columns (ROADMAP item 1).
+    when asked for, and it hashes as the tuple of those values. bench/ is the
+    only reader of that view and hash; ROADMAP item 2 deletes them.
     """
 
     _COLUMNS = ("start", "end", "sheet", "duration")
@@ -245,20 +244,21 @@ def reflect(table: BookTable, state: PhaseState) -> PhaseState:
 
 
 def sample_segment(segment: TrajectorySegment, k: float, count: int) -> list[PhaseState]:
-    """States at count+1 equally spaced times along the segment (ends included)."""
-    start, duration = segment.start, segment.duration
-    if segment.boundary_orbit:
-        _, f = h_and_f(start.x, start.y, start.vx, start.vy, k)
-        angles = (f * duration * i / count for i in range(count + 1))
-        row = (start.x, start.y, start.vx, start.vy)
-        return [PhaseState(start.sheet, *_rotated(*row, math.cos(a), math.sin(a))) for a in angles]
-    return [flow_free(start, duration * i / count, k) for i in range(count + 1)]
+    """States at count+1 equally spaced times along the segment (ends included), as the one-row
+    run of _sample_trajectory(). bench/ is its only caller; ROADMAP item 2 deletes it."""
+    start, end = segment.start, segment.end
+    rows = np.array([(start.x, start.y, start.vx, start.vy), (end.x, end.y, end.vx, end.vy)])
+    # _sample_trajectory() reads a run's start, duration and boundary_orbit
+    one = Trajectory((rows[:1], rows[1:], np.array([start.sheet]), np.array([segment.duration])),
+                     0, "time", segment.boundary_orbit)
+    _, _, states = next(_sample_trajectory(one, k, count))
+    return [PhaseState(start.sheet, *state) for state in states[0].tolist()]
 
 
 def _sample_trajectory(
     trajectory: Trajectory, k: float, count: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """sample_segment() for every segment of a trajectory, a chunk at a time.
+    """States at count+1 equally spaced times along each segment of a run, a chunk at a time.
 
     Yields (first segment of the chunk, tau, states): ``tau[i, j]`` is the
     time since segment i's start of its j-th of count+1 equally spaced
@@ -400,9 +400,10 @@ def simulate(
         raise ValidationError("a stop condition (max_reflections or max_time) is required")
     if max_reflections is not None and not (is_integer(max_reflections) and max_reflections >= 0):
         raise ValidationError(f"max_reflections must be an integer >= 0, got {max_reflections!r}")
-    # 0 < nan is false, so this refuses a NaN max_time too
+    # 0 < nan is false, so this refuses a NaN max_time too; a numpy float cuts as a Python float
     if max_time is not None and not 0 < max_time < math.inf:
         raise ValidationError(f"max_time must be positive and finite, got {max_time!r}")
+    max_time = None if max_time is None else float(max_time)
     if not all(map(math.isfinite, (initial.x, initial.y, initial.vx, initial.vy))):
         raise ValidationError(f"initial state must be finite, got {initial}")
 

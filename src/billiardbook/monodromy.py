@@ -57,7 +57,8 @@ class PeriodSample:
 
 class PeriodSamples(Sequence):
     """Continuation samples as a read-only block of rows h, f, T_r, dphi and theta, compared and
-    hashed as one. Indexing builds PeriodSample values, a slice a tuple of them (ROADMAP item 2)."""
+    hashed as one. Indexing builds PeriodSample values, a slice a tuple of them: bench/ is the only
+    reader of that row view, and ROADMAP item 2 deletes it."""
 
     __slots__ = ("columns", "h", "f", "T_r", "dphi", "theta")
 
@@ -291,21 +292,15 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
     )
 
 
-def molecule_labels(
-    table: BookTable,
-    h_sign: int,
-    report: MonodromyReport | None = None,
-) -> MoleculeLabels:
-    """Molecule labels for the isoenergy slice of the given sign of h.
+def molecule_labels(table: BookTable, h_sign: int, report: MonodromyReport) -> MoleculeLabels:
+    """Molecule labels of the report, for the isoenergy slice of the given sign of h.
 
-    The h > 0 label r = 1/m mod 1 is read from the measured monodromy integer
-    via the gluing matrix [[1, m], [0, -1]]; no lookup table is involved. If
-    no report is supplied, one is computed over the default loop.
+    The h > 0 label r = 1/m mod 1 is read from the measured monodromy integer via the gluing
+    matrix [[1, m], [0, -1]]. They are ``report.labels``: bench/ is the only caller of this
+    function, and ROADMAP item 2 deletes it.
     """
     if h_sign == 0:
         raise ValidationError("h_sign must be negative or positive")
-    if report is None:
-        report = continue_theta(table, loop_around_origin(table))
     if report.labels is None:
         raise ValidationError("report's loop does not enclose the singular value")
     return report.labels
@@ -314,7 +309,8 @@ def molecule_labels(
 def theta_center_limit(table: BookTable, h: float) -> float:
     """Extrapolated theta(h, f -> 0+) via Richardson over f = CENTER_F_START * 2^-j.
 
-    Cross-checks the center-passage convention: the limit is n * pi.
+    Cross-checks the center-passage convention: the limit is n * pi. bench/ is its only caller
+    (acceptance criterion 9 inlines its own), and ROADMAP item 2 deletes it.
     """
     row = [
         radial_period_quadrature(table, h, CENTER_F_START * 0.5**j).theta

@@ -20,7 +20,6 @@ from billiardbook import (
     inner_radius,
     linearization_operators,
     loop_around_origin,
-    molecule_labels,
     momentum_map,
     radial_period_quadrature,
     radial_period_simulated,
@@ -223,13 +222,12 @@ def test_criterion_10_molecule_labels():
     for n in (1, 4):
         table = BookTable(k=K, sheets=n)
         report = continue_theta(table, loop_around_origin(table))
-        neg = molecule_labels(table, -1, report=report)
-        pos = molecule_labels(table, +1, report=report)
+        labels = report.labels
         # the labels must come from the measured m, not from the sheet count
-        assert pos.derived_from_m == report.m
-        assert neg.r_hneg == math.inf and neg.epsilon == 1
-        assert pos.r_hpos == Fraction(1, n) % 1 and pos.epsilon == 1
+        assert labels.derived_from_m == report.m
+        assert labels.r_hneg == math.inf and labels.epsilon == 1
+        assert labels.r_hpos == Fraction(1, n) % 1
         print(
             f"\nACCEPTANCE 10 PASS (n={n}): labels h<0 (r=inf, eps=1), "
-            f"h>0 (r={pos.r_hpos}, eps=1) from measured m={report.m}"
+            f"h>0 (r={labels.r_hpos}, eps=1) from measured m={report.m}"
         )

@@ -443,6 +443,16 @@ def test_non_finite_flag_exits_2(tmp_path, capsys, name):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["diagram", "eigen"])
+def test_sheet_count_is_refused_where_it_changes_nothing(tmp_path, capsys, command):
+    # the bifurcation diagram and the pencil spectrum do not depend on n
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "-n", "3")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -n 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", NON_FINITE_CONFIGS)
 def test_non_finite_config_value_exits_2(tmp_path, capsys, name):
     doc, argv = NON_FINITE_CONFIGS[name]

@@ -17,11 +17,11 @@ from billiardbook import (
     inner_radius,
     momentum_map,
     reflect,
-    sample_segment,
     simulate,
     time_to_boundary,
 )
 from billiardbook.dynamics import _CHUNK, _hit_count, _rotated
+from billiardbook.momentum import h_and_f
 
 K = -1.0
 KS = (-0.25, -1.0, -4.0)
@@ -104,6 +104,27 @@ def segment_min_radii(trajectory, k):
     if trajectory.boundary_orbit:
         radii[-1] = 1.0
     return radii
+
+
+def sampled_states(trajectory, k, count):
+    """States at count+1 equally spaced times along each segment of a run, one at a time.
+
+    Returns a (segments, count+1, 4) block. Each state is flow_free() from its
+    segment's start, and on a segment sliding along the wall the start turned
+    by f*tau, as the angular speed on r = 1 is f; it shares no kernel with the
+    column sampler of the writers.
+    """
+    rows, segments = [], zip(trajectory.start.tolist(), trajectory.duration.tolist())
+    for i, (row, duration) in enumerate(segments):
+        start = PhaseState(1, *row)
+        if trajectory.boundary_orbit and i == len(trajectory) - 1:
+            f = momentum_map(start, k).f
+            angles = (f * duration * j / count for j in range(count + 1))
+            rows += [_rotated(*row, math.cos(a), math.sin(a)) for a in angles]
+        else:
+            states = (flow_free(start, duration * j / count, k) for j in range(count + 1))
+            rows += [(s.x, s.y, s.vx, s.vy) for s in states]
+    return np.array(rows).reshape(len(trajectory), count + 1, 4)
 
 
 def first_hit_and_turn(table, state):
@@ -246,69 +267,72 @@ class TestSimulate:
 
     def test_sheet_sequence_is_cyclic(self):
         table = BookTable(k=K, sheets=3)
-        segments = simulate(table, PhaseState(1, 0.5, 0.0, 0.0, 1.0), max_reflections=9)
-        assert [s.start.sheet for s in segments] == [1, 2, 3, 1, 2, 3, 1, 2, 3]
+        traj = simulate(table, PhaseState(1, 0.5, 0.0, 0.0, 1.0), max_reflections=9)
+        assert traj.sheet.tolist() == [1, 2, 3, 1, 2, 3, 1, 2, 3]
 
     def test_conservation_drift_stays_small(self):
         start = PhaseState(1, 0.5, 0.0, 0.0, 1.0)
-        segments = simulate(TABLE, start, max_reflections=2000)
+        traj = simulate(TABLE, start, max_reflections=2000)
         ref = momentum_map(start, K)
-        for seg in segments:
-            mv = momentum_map(seg.end, K)
-            assert abs(mv.h - ref.h) < 1e-10
-            assert abs(mv.f - ref.f) < 1e-10
+        h, f = h_and_f(*traj.end.T, K)
+        assert np.abs(h - ref.h).max() < 1e-10
+        assert np.abs(f - ref.f).max() < 1e-10
 
     def test_orbit_confined_to_annulus(self):
         start = PhaseState(1, 0.5, 0.0, 0.0, 1.0)
         mv = momentum_map(start, K)
         r0 = inner_radius(mv.h, mv.f, K)
-        segments = simulate(TABLE, start, max_reflections=500)
-        min_r = segment_min_radii(segments, K).min()
+        traj = simulate(TABLE, start, max_reflections=500)
+        min_r = segment_min_radii(traj, K).min()
         assert min_r >= r0 - 1e-9
         # the radial turning point is reached every radial period
         assert min_r == pytest.approx(r0, abs=1e-6)
-        assert max(seg.end.r2 for seg in segments) <= 1.0 + 1e-12
+        x, y = traj.end[:, :2].T
+        assert (x * x + y * y).max() <= 1.0 + 1e-12
 
     def test_angle_monotone_with_sign_of_f(self):
         for sign in (+1.0, -1.0):
             start = PhaseState(1, 0.5, 0.0, 0.0, sign * 1.0)
-            segments = simulate(TABLE, start, max_reflections=50)
-            for seg in segments:
-                states = sample_segment(seg, K, 32)
-                angles = np.unwrap([math.atan2(s.y, s.x) for s in states])
-                diffs = np.diff(angles)
-                assert np.all(sign * diffs >= -1e-12)
+            states = sampled_states(simulate(TABLE, start, max_reflections=50), K, 32)
+            angles = np.unwrap(np.arctan2(states[..., 1], states[..., 0]), axis=1)
+            assert np.all(sign * np.diff(angles, axis=1) >= -1e-12)
 
     def test_time_reversal_reverses_path_and_negates_f(self):
         start = PhaseState(1, 0.4, 0.1, 0.3, 1.1)
         fwd = simulate(TABLE, start, max_reflections=10)
-        total = sum(seg.duration for seg in fwd)
-        end = fwd[-1].end
-        back = simulate(TABLE, time_reversed(end), max_time=total)
-        assert momentum_map(time_reversed(end), K).f == pytest.approx(
-            -momentum_map(start, K).f, abs=1e-12
-        )
-        final = back[-1].end
-        assert final.x == pytest.approx(start.x, abs=1e-8)
-        assert final.y == pytest.approx(start.y, abs=1e-8)
-        assert final.vx == pytest.approx(-start.vx, abs=1e-8)
-        assert final.vy == pytest.approx(-start.vy, abs=1e-8)
+        end = time_reversed(PhaseState(1, *fwd.end[-1].tolist()))
+        back = simulate(TABLE, end, max_time=math.fsum(fwd.duration))
+        assert momentum_map(end, K).f == pytest.approx(-momentum_map(start, K).f, abs=1e-12)
+        assert back.end[-1] == pytest.approx([start.x, start.y, -start.vx, -start.vy], abs=1e-8)
 
     def test_max_time_cuts_last_segment(self):
-        segments = simulate(TABLE, PhaseState(1, 0.5, 0.0, 0.0, 1.0), max_time=2.5)
-        assert sum(seg.duration for seg in segments) == pytest.approx(2.5, abs=1e-12)
-        assert not segments[-1].reflected
+        traj = simulate(TABLE, PhaseState(1, 0.5, 0.0, 0.0, 1.0), max_time=2.5)
+        assert math.fsum(traj.duration) == pytest.approx(2.5, abs=1e-12)
+        # the last segment is the cut, which ends at no reflection
+        assert (traj.stop_reason, traj.reflections) == ("time", len(traj) - 1)
+
+    @pytest.mark.parametrize("start,max_time", [
+        # a grazing run that slides for the rest of max_time: its flag is a bool, which json takes
+        (PhaseState(1, 1.0, 0.0, -1e-12, 0.3), np.float64(3.0)),
+        # under NumPy 2's promotion rules a float32 max_time would make the cut in float32
+        (PhaseState(1, 0.5, 0.0, 0.0, 1.0), np.float32(2.5)),
+    ], ids=["float64-grazing", "float32"])
+    def test_numpy_max_time_cuts_as_a_python_float(self, start, max_time):
+        traj = simulate(TABLE, start, max_time=max_time)
+        assert traj == simulate(TABLE, start, max_time=float(max_time))
+        assert type(traj.boundary_orbit) is bool
+        assert math.fsum(traj.duration) == pytest.approx(float(max_time), abs=1e-12)
 
     def test_boundary_tangential_state_is_critical_orbit(self):
         # (h, f) on the parabola: the region of motion is the wall circle
-        segments = simulate(TABLE, PhaseState(1, 1.0, 0.0, 0.0, 0.5), max_time=4.0)
-        assert len(segments) == 1
-        assert segments[0].boundary_orbit
-        for state in sample_segment(segments[0], K, 64):
-            assert math.sqrt(state.r2) == pytest.approx(1.0, abs=1e-12)
+        traj = simulate(TABLE, PhaseState(1, 1.0, 0.0, 0.0, 0.5), max_time=4.0)
+        assert len(traj) == 1
+        assert traj.boundary_orbit
+        x, y = sampled_states(traj, K, 64)[0, :, :2].T
+        assert np.sqrt(x * x + y * y) == pytest.approx(np.ones(65), abs=1e-12)
         # angular speed on the wall equals f
-        end = segments[0].end
-        assert math.atan2(end.y, end.x) == pytest.approx(0.5 * 4.0, abs=1e-12)
+        x, y = traj.end[0, :2]
+        assert math.atan2(y, x) == pytest.approx(0.5 * 4.0, abs=1e-12)
 
     def test_sheet_off_the_book_rejected(self):
         table = BookTable(k=K, sheets=3)
@@ -365,11 +389,10 @@ class TestSimulate:
         rng = np.random.default_rng(4)
         for _ in range(20):
             start = random_interior_state(rng)
-            for seg in simulate(TABLE, start, max_reflections=20):
-                a = momentum_map(seg.start, K)
-                b = momentum_map(seg.end, K)
-                assert abs(a.h - b.h) < 1e-12
-                assert abs(a.f - b.f) < 1e-12
+            traj = simulate(TABLE, start, max_reflections=20)
+            (h0, f0), (h1, f1) = h_and_f(*traj.start.T, K), h_and_f(*traj.end.T, K)
+            assert np.abs(h0 - h1).max() < 1e-12
+            assert np.abs(f0 - f1).max() < 1e-12
 
 
 class TestSegmentMinRadius:
@@ -380,7 +403,8 @@ class TestSegmentMinRadius:
         for _ in range(100):
             start = random_interior_state(rng)
             traj = simulate(TABLE, start, max_reflections=1)
-            sampled = min(s.r2 for s in sample_segment(traj[0], K, 2048))
+            x, y = sampled_states(traj, K, 2048)[0, :, :2].T
+            sampled = (x * x + y * y).min()
             closed = segment_min_radii(traj, K)[0] ** 2
             assert sampled - 1e-6 <= closed <= sampled + 1e-12
 

@@ -1,4 +1,4 @@
-"""Writers against per-row sampling of each segment and against csv.writer."""
+"""Writers against per-state sampling of each segment and against csv.writer."""
 
 import csv
 import re
@@ -17,11 +17,12 @@ from billiardbook import (
     io,
     loop_around_origin,
     momentum_map,
-    sample_segment,
     simulate,
 )
 from billiardbook import cli
+from billiardbook.dynamics import _sample_trajectory, sample_segment
 from billiardbook.model import require_fits
+from test_dynamics import sampled_states
 
 RUNS = [
     # numpy columns, reflection-stopped
@@ -34,17 +35,25 @@ RUNS = [
     (BookTable(k=-1.0, sheets=1), PhaseState(1, 1.0, 0.0, 0.0, 0.5), {"max_time": 4.0}),
 ]
 IDS = ["reflections", "time", "short", "boundary-orbit"]
+ROW_RUNS = RUNS + [
+    # a velocity component far below |x|, which the flow at tau = 0 rounds
+    (BookTable(k=-1.0, sheets=1), PhaseState(1, 1.0, 0.0, -1e-12, 0.3), {"max_reflections": 2}),
+    # more segments than one chunk of the sampler
+    (BookTable(k=-4.0, sheets=2), PhaseState(2, 0.2, -0.4, 0.9, 0.3), {"max_reflections": 2100}),
+]
+ROW_IDS = IDS + ["small-velocity", "two-chunks"]
 
 
 def reference_rows(table, trajectory, count):
-    """Rows as written one at a time, from sample_segment() and momentum_map()."""
+    """Rows as written one at a time, from sampled_states() and momentum_map()."""
     rows, t_abs = [], 0.0
-    for i, seg in enumerate(trajectory):
-        for j, state in enumerate(sample_segment(seg, table.k, count)):
-            mv = momentum_map(state, table.k)
-            t = t_abs + seg.duration * j / count
-            rows.append([i, state.sheet, t, state.x, state.y, state.vx, state.vy, mv.h, mv.f])
-        t_abs += seg.duration
+    states = sampled_states(trajectory, table.k, count).tolist()
+    segments = zip(trajectory.sheet.tolist(), trajectory.duration.tolist(), states)
+    for i, (sheet, duration, segment) in enumerate(segments):
+        for j, state in enumerate(segment):
+            mv = momentum_map(PhaseState(sheet, *state), table.k)
+            rows.append([i, sheet, t_abs + duration * j / count, *state, mv.h, mv.f])
+        t_abs += duration
     return rows
 
 
@@ -79,27 +88,19 @@ def test_svg_points_match_per_row_sampling(tmp_path, table, start, stop):
     polylines = [el for el in ET.parse(path).getroot().iter() if el.tag.endswith("polyline")]
     assert len(polylines) == len(trajectory)
     # drawn grouped by sheet, in segment order within a sheet
-    order = sorted(range(len(trajectory)), key=lambda i: trajectory[i].start.sheet)
+    order = np.argsort(trajectory.sheet, kind="stable").tolist()
+    states = sampled_states(trajectory, table.k, 48)
     worst = 0.0
     for el, i in zip(polylines, order):
         points = [tuple(map(float, p.split(","))) for p in el.get("points").split()]
-        expected = [(s.x, -s.y) for s in sample_segment(trajectory[i], table.k, 48)]
+        expected = [(x, -y) for x, y in states[i, :, :2].tolist()]
         assert len(points) == len(expected) == 49
         worst = max(worst, max(abs(a - b) for p, q in zip(points, expected) for a, b in zip(p, q)))
     # six decimals round by at most 5e-7
     assert worst <= 5e-7 + 1e-12
 
 
-@pytest.mark.parametrize(
-    "table,start,stop",
-    RUNS + [
-        # a velocity component far below |x|, which the flow at tau = 0 rounds
-        (BookTable(k=-1.0, sheets=1), PhaseState(1, 1.0, 0.0, -1e-12, 0.3), {"max_reflections": 2}),
-        # more segments than one chunk of the sampler
-        (BookTable(k=-4.0, sheets=2), PhaseState(2, 0.2, -0.4, 0.9, 0.3), {"max_reflections": 2100}),
-    ],
-    ids=IDS + ["small-velocity", "two-chunks"],
-)
+@pytest.mark.parametrize("table,start,stop", ROW_RUNS, ids=ROW_IDS)
 def test_each_segment_starts_at_its_start_row(tmp_path, table, start, stop):
     trajectory = simulate(table, start, **stop)
     path = tmp_path / "trajectory.csv"
@@ -108,6 +109,20 @@ def test_each_segment_starts_at_its_start_row(tmp_path, table, start, stop):
     assert len(rows) == 5 * len(trajectory)
     for i, row in enumerate(rows[::5]):
         assert row.split(",")[3:7] == [io.fmt(v) for v in trajectory.start[i].tolist()]
+
+
+@pytest.mark.parametrize("table,start,stop", ROW_RUNS, ids=ROW_IDS)
+def test_sample_segment_is_the_one_row_run(table, start, stop):
+    # the segment sampler bench/ wraps: row i of the writers' sampler, bit for bit, on the
+    # segment's sheet, and its first state is the start row itself
+    trajectory = simulate(table, start, **stop)
+    rows = np.concatenate([states for _, _, states in _sample_trajectory(trajectory, table.k, 8)])
+    for i in range(len(trajectory)):
+        states = sample_segment(trajectory[i], table.k, 8)
+        got = np.array([(s.x, s.y, s.vx, s.vy) for s in states])
+        assert got.tobytes() == rows[i].tobytes()
+        assert got[0].tobytes() == trajectory.start[i].tobytes()
+        assert {s.sheet for s in states} == {trajectory.sheet[i]}
 
 
 def written_columns(path):
@@ -172,10 +187,10 @@ def reference_continuation_csv(path, report):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(io.CONTINUATION_COLUMNS)
-        for i, (sample, theta) in enumerate(zip(report.samples, report.theta_unwrapped)):
-            writer.writerow(
-                [i] + [io.fmt(v) for v in (sample.h, sample.f, sample.T_r, sample.dphi, theta)]
-            )
+        s = report.samples
+        columns = (s.h, s.f, s.T_r, s.dphi)
+        for i, row in enumerate(zip(*(c.tolist() for c in columns), report.theta_unwrapped)):
+            writer.writerow([i] + [io.fmt(v) for v in row])
 
 
 @pytest.mark.parametrize("resolution", [21, 201])

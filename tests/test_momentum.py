@@ -78,8 +78,9 @@ class TestImage:
             r = 0.9 * math.sqrt(rng.uniform())
             ang = rng.uniform(0, 2 * math.pi)
             state = PhaseState(1, r * math.cos(ang), r * math.sin(ang), *rng.uniform(-1, 1, 2))
-            for seg in simulate(TABLE, state, max_reflections=20):
-                mv = momentum_map(seg.end, K)
+            traj = simulate(TABLE, state, max_reflections=20)
+            for row in traj.end.tolist():
+                mv = momentum_map(PhaseState(1, *row), K)
                 assert in_image(mv.h, mv.f, K)
 
 

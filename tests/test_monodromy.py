@@ -20,12 +20,13 @@ from billiardbook import (
     classify_fiber,
     continue_theta,
     loop_around_origin,
-    molecule_labels,
     radial_period_quadrature,
     radial_period_simulated,
     simulate,
 )
-from billiardbook.monodromy import PeriodSamples, _period_columns, theta_center_limit
+from billiardbook.monodromy import (
+    PeriodSamples, _period_columns, molecule_labels, theta_center_limit,
+)
 
 K = -1.0
 KS = (-0.25, -1.0, -4.0)
@@ -192,11 +193,11 @@ class TestRadialPeriodSimulated:
                 if classify_fiber(table, h, f).tag is not FiberTag.REGULAR_TORUS:
                     continue
                 sample = radial_period_simulated(table, h, f)
-                arc = simulate(table, boundary_state(table, h, f), max_reflections=1)[0]
-                a, b = arc.start, arc.end
-                dphi = math.atan2(a.x * b.y - a.y * b.x, a.x * b.x + a.y * b.y)
+                arc = simulate(table, boundary_state(table, h, f), max_reflections=1)
+                (ax, ay), (bx, by) = arc.start[0, :2].tolist(), arc.end[0, :2].tolist()
+                dphi = math.atan2(ax * by - ay * bx, ax * bx + ay * by)
                 got = (sample.h, sample.f, sample.T_r, sample.dphi, sample.theta)
-                expected = (h, f, arc.duration, dphi, 3 * dphi)
+                expected = (h, f, arc.duration[0], dphi, 3 * dphi)
                 assert [v.hex() for v in got] == [float(v).hex() for v in expected]
 
 
@@ -382,7 +383,8 @@ class TestContinueTheta:
             loop = loop_around_origin(table, points_per_arc=points_per_arc)
             report = continue_theta(table, loop)
             reference = per_sample_continuation(table, loop)
-            assert [(s.h, s.f) for s in report.samples] == loop + [loop[0]]
+            s = report.samples
+            assert list(zip(s.h.tolist(), s.f.tolist())) == loop + [loop[0]]
             assert report.bisections == 0
             assert np.abs(np.array(report.theta_unwrapped) - reference).max() <= 1e-12
             assert report.m == round((reference[-1] - reference[0]) / (2.0 * math.pi)) == n
@@ -398,15 +400,16 @@ class TestContinueTheta:
         # further along it than the sample before
         closed = loop + [loop[0]]
         edge, along = 0, 0.0
-        assert (report.samples[0].h, report.samples[0].f) == closed[0]
-        for s in report.samples[1:]:
+        points = list(zip(report.samples.h.tolist(), report.samples.f.tolist()))
+        assert points[0] == closed[0]
+        for h, f in points[1:]:
             (h0, f0), (h1, f1) = closed[edge], closed[edge + 1]
-            if (s.h, s.f) == (h1, f1):
+            if (h, f) == (h1, f1):
                 edge, along = edge + 1, 0.0
                 continue
-            t = ((s.h - h0) * (h1 - h0) + (s.f - f0) * (f1 - f0)) / ((h1 - h0) ** 2 + (f1 - f0) ** 2)
+            t = ((h - h0) * (h1 - h0) + (f - f0) * (f1 - f0)) / ((h1 - h0) ** 2 + (f1 - f0) ** 2)
             assert along < t < 1.0
-            assert (s.h, s.f) == pytest.approx((h0 + t * (h1 - h0), f0 + t * (f1 - f0)), abs=1e-15)
+            assert (h, f) == pytest.approx((h0 + t * (h1 - h0), f0 + t * (f1 - f0)), abs=1e-15)
             along = t
         assert edge == len(loop)
         assert report.unwrap_margin < 1.0
@@ -539,7 +542,8 @@ class TestContinueTheta:
     def test_theta_odd_under_loop_reflection(self):
         table = BookTable(k=K, sheets=1)
         report = continue_theta(table, loop_around_origin(table))
-        by_value = {(s.h, s.f): s.theta for s in report.samples}
+        s = report.samples
+        by_value = dict(zip(zip(s.h.tolist(), s.f.tolist()), s.theta.tolist()))
         for (h, f), theta in by_value.items():
             if (h, -f) in by_value and f != 0.0:
                 assert by_value[(h, -f)] == pytest.approx(-theta, abs=1e-10)
@@ -627,28 +631,38 @@ class TestPeriodSamples:
         hash(replaced)
 
 
+def default_labels(sheets):
+    """The labels of the report over the default loop."""
+    table = BookTable(k=K, sheets=sheets)
+    return continue_theta(table, loop_around_origin(table)).labels
+
+
 class TestMoleculeLabels:
     def test_h_negative_side(self):
-        labels = molecule_labels(BookTable(k=K, sheets=1), -1)
+        labels = default_labels(1)
         assert labels.r_hneg == math.inf
         assert labels.epsilon == 1
 
     def test_single_sheet_h_positive(self):
-        labels = molecule_labels(BookTable(k=K, sheets=1), +1)
+        labels = default_labels(1)
         assert labels.r_hpos == Fraction(0)
         assert labels.epsilon == 1
 
     def test_four_sheets_h_positive(self):
-        labels = molecule_labels(BookTable(k=K, sheets=4), +1)
+        labels = default_labels(4)
         assert labels.r_hpos == Fraction(1, 4)
         assert labels.derived_from_m == 4
 
     def test_labels_from_supplied_report(self):
+        # molecule_labels, which bench/ calls, gives the report's labels for either sign of h
         table = BookTable(k=K, sheets=2)
         report = continue_theta(table, loop_around_origin(table))
-        labels = molecule_labels(table, +1, report=report)
-        assert labels.derived_from_m == report.m == 2
-        assert labels.r_hpos == Fraction(1, 2)
+        for h_sign in (-1, +1):
+            assert molecule_labels(table, h_sign, report=report) is report.labels
+        assert report.labels.derived_from_m == report.m == 2
+        assert report.labels.r_hpos == Fraction(1, 2)
+        with pytest.raises(ValidationError, match="h_sign"):
+            molecule_labels(table, 0, report=report)
 
     def test_gluing_matrix_consistent_with_label(self):
         table = BookTable(k=K, sheets=3)

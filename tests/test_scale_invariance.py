@@ -214,7 +214,7 @@ def test_monodromy(lam, sheets, c, factor, points_per_arc):
     assume(np.abs(steps - 1.0).min() > 1e-9)
     assert scaled.m == reference.m == sheets
     assert len(scaled.samples) == len(reference.samples)
-    assert close([s.T_r * w for s in scaled.samples], [s.T_r for s in reference.samples])
+    assert close(scaled.samples.T_r * w, reference.samples.T_r)
     assert close(scaled.theta_unwrapped, reference.theta_unwrapped)
     assert close(scaled.unwrap_margin, reference.unwrap_margin)
 
