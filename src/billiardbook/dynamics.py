@@ -34,6 +34,7 @@ _wall_speed2(), is below GRAZING_TOL^2.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -77,9 +78,9 @@ class Trajectory(Sequence):
     reflection; if ``boundary_orbit`` is set, the last segment slides along
     the wall. ``stop_reason`` says why the run ended: ``"reflections"``
     (max_reflections reached), ``"time"`` (max_time reached), ``"grazing"``
-    (a tangential wall hit) or ``"stable-manifold"`` (a reflection sent the
-    ball onto the stable manifold of the equilibrium, which never reaches the
-    wall again).
+    (a tangential wall hit) or ``"stable-manifold"`` (the start or a
+    reflection lies on the stable manifold of the equilibrium, which never
+    meets the wall: so do the rest state and the unstable ray's first reflection).
 
     As a sequence it yields TrajectorySegment values, built from the columns
     when asked for, and it hashes as the tuple of those values. bench/ is the
@@ -210,7 +211,7 @@ def time_to_boundary(state: PhaseState, k: float) -> float:
     On the closed disk 1 - 2a.b >= 1/2 and the discriminant _wall_speed2()
     is a sum of non-negative terms, so the root has no cancellation. A start
     within BOUNDARY_TOL outside the wall counts as on it; a start on the wall
-    moving outward returns 0.
+    moving outward returns 0, and one on the stable manifold (a = 0) inf.
     """
     require_repelling(k)
     r2 = state.r2
@@ -219,12 +220,8 @@ def time_to_boundary(state: PhaseState, k: float) -> float:
     w = math.sqrt(-k)
     ax, ay = 0.5 * (state.x + state.vx / w), 0.5 * (state.y + state.vy / w)
     a2 = ax * ax + ay * ay
-    if a2 == 0.0:
-        # v = -w*x: the inbound stable ray (or rest at the origin)
-        raise ValidationError(
-            "state lies on the stable manifold of the equilibrium and never "
-            "reaches the boundary"
-        )
+    if a2 == 0.0:  # v = -w*x: the inbound stable ray, or rest at the origin
+        return math.inf
     # u = (1 - 2a.b + sqrt(disc)) / (2|a|^2) with 2a.b = (r^2 - |v/w|^2)/2,
     # taken as a difference of logs since u overflows when |a|^2 is tiny
     disc = _wall_speed2(state, k)
@@ -400,44 +397,37 @@ def simulate(
         raise ValidationError("a stop condition (max_reflections or max_time) is required")
     if max_reflections is not None and not (is_integer(max_reflections) and max_reflections >= 0):
         raise ValidationError(f"max_reflections must be an integer >= 0, got {max_reflections!r}")
-    # 0 < nan is false, so this refuses a NaN max_time too; a numpy float cuts as a Python float
-    if max_time is not None and not 0 < max_time < math.inf:
+    # 0 < nan is false, and an int is compared exactly: float() overflows past the float range
+    huge = isinstance(max_time, int) and max_time > sys.float_info.max
+    if max_time is not None and (huge or not 0 < max_time < math.inf):
         raise ValidationError(f"max_time must be positive and finite, got {max_time!r}")
-    max_time = None if max_time is None else float(max_time)
+    max_time = None if max_time is None else float(max_time)  # a numpy float cuts as a float
     if not all(map(math.isfinite, (initial.x, initial.y, initial.vx, initial.vy))):
         raise ValidationError(f"initial state must be finite, got {initial}")
 
-    k, r2 = table.k, initial.r2
+    k, r2, w = table.k, initial.r2, math.sqrt(-table.k)
     table.next_sheet(initial.sheet)  # raises ValidationError for a sheet off the book
     if r2 - 1.0 > BOUNDARY_TOL:
         raise ValidationError("initial state must lie in the closed unit disk")
     mv = momentum_map(initial, k)
     if not (math.isfinite(mv.h) and math.isfinite(mv.f)):
         raise ValidationError(f"H and F of the initial state must be finite, got {mv}")
-    if r2 == 0.0 and initial.speed2 == 0.0:
-        raise ValidationError(
-            "the rest state at the origin is the focus-focus equilibrium; "
-            "it is reported, not propagated"
-        )
 
-    # Critical orbit: the orbit meets the wall at v.n = 0, so its region of
-    # motion is the wall circle, propagated as pure rotation.
+    # The critical orbit meets the wall at v.n = 0: its region of motion is the wall circle.
     if _wall_speed2(initial, k) < GRAZING_TOL**2:
         if max_time is None:
             raise ValidationError("the boundary critical orbit never reflects; use max_time")
         return _arcs([_slide(initial, max_time, k)], 0, "time", boundary_orbit=True)
 
+    unstable = initial.x == initial.vx / w and initial.y == initial.vy / w  # b = 0
     arcs, clock = [], 0.0
     for made in range(2):  # reflections made before the step: the head arc, then the full arc
         if made == max_reflections:
             return _arcs(arcs, made, "reflections")
         start = reflect(table, hit) if made else initial
-        try:
-            t = time_to_boundary(start, k)
-        except ValidationError:
-            if not made:
-                raise
-            # start lies on the wall, so the stable manifold is the only refusal left
+        # a start on the unstable ray (b = 0) reflects onto the stable ray in exact arithmetic
+        t = math.inf if made and unstable else time_to_boundary(start, k)
+        if t == math.inf:
             return _arcs(arcs, made, "stable-manifold")
         if max_time is not None and clock + t >= max_time:
             cut = max_time - clock
@@ -447,7 +437,7 @@ def simulate(
         if not (made or residual < BOUNDARY_TOL):  # the wall-hit solver failed: no input is at fault
             raise ConvergenceError(f"the first wall hit is off the wall: |r^2 - 1| = {residual:.3g}")
         arcs.append((start, t, hit))
-        if abs(hit.x * hit.vx + hit.y * hit.vy) < GRAZING_TOL * math.sqrt(-k):
+        if abs(hit.x * hit.vx + hit.y * hit.vy) < GRAZING_TOL * w:
             # a tangential hit ends the run; the rest of max_time slides along the wall
             slides = max_time is not None and max_time - clock > t
             tail = [_slide(hit, (max_time - clock) - t, k)] if slides else []

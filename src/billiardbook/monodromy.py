@@ -191,8 +191,10 @@ def loop_around_origin(
 
     The left part is the arc of the parabola h = (f^2 + c^2 k)/(2c) of
     constant inner radius r0 = c; the right part is the vertical segment
-    h = const joining the arc endpoints. The corner, with the least cosh(w T_r) up to rounding
-    and further inside the image than any arc waypoint, is gated here; continue_theta() gates all.
+    h = const joining the arc endpoints. Each part has points_per_arc intervals, rounded up to
+    even: a waypoint at f = 0 (to rounding) on each makes the polygon wind once around (0, 0).
+    The corner, with the least cosh(w T_r) up to rounding and further inside the image than any
+    arc waypoint, is gated here; continue_theta() gates all.
     """
     k = table.k
     if not 0.0 < c < 1.0:
@@ -212,8 +214,9 @@ def loop_around_origin(
     # parabola arc traversed with f increasing: in the (f, h) plane the arc
     # passes below the origin, so this orientation winds counterclockwise;
     # then the closing segment at constant h right of the origin, f decreasing
-    f_arc = np.linspace(-f_max, f_max, points_per_arc + 1)
-    f_segment = np.linspace(f_max, -f_max, points_per_arc + 1)[1:-1]
+    intervals = points_per_arc + points_per_arc % 2
+    f_arc = np.linspace(-f_max, f_max, intervals + 1)
+    f_segment = np.linspace(f_max, -f_max, intervals + 1)[1:-1]
     h = np.concatenate(((f_arc * f_arc + c * c * k) / (2.0 * c), np.full(f_segment.size, h_right)))
     f = np.concatenate((f_arc, f_segment))
     return list(zip(h.tolist(), f.tolist()))

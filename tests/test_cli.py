@@ -49,6 +49,19 @@ class TestSimulate:
         _, columns = io.read_trajectory_csv(tmp_path / "trajectory.csv")
         assert set(columns["segment"].tolist()) == {0}
 
+    @pytest.mark.parametrize("initial,made", [
+        (("0.5", "0", "-0.5", "0"), 0),  # inbound on the stable ray
+        (("0", "0", "0", "0"), 0),  # the rest state
+        # outbound on the unstable ray: its first reflection lies on the stable ray
+        (("-0.44975331817138364", "-0.21845354836630632") * 2, 1),
+    ], ids=["stable-ray", "rest", "unstable-ray"])
+    def test_separatrix_start_stops_on_the_stable_manifold(self, tmp_path, capsys, initial, made):
+        code = run(tmp_path, "simulate", "-k", "-1", "--initial", *initial, "--reflections", "3")
+        assert code == 0
+        assert capsys.readouterr().err == f"stopped early: stable-manifold; reflections made: {made}\n"
+        _, columns = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+        assert set(columns["segment"].tolist()) == set(range(made))
+
     def test_full_run_reports_nothing(self, tmp_path, capsys):
         code = run(
             tmp_path, "simulate", "-k", "-1", "--initial", "0.5", "0", "0", "1",
@@ -295,12 +308,16 @@ class TestMonodromy:
         assert doc["bisections"] == doc["samples"] - len(doc["loop"]) - 1 > 0
 
     def test_bisection_through_the_singular_value_exits_3(self, tmp_path, capsys):
+        # a chord from h = 2e14 to the arc's waypoint at (-3.1, 0) passes 1.3e-7 from (0, 0),
+        # the singular value, and bisection cannot resolve the turn of dphi there
         code = run(
-            tmp_path, "monodromy", "-k", "-1", "--c", "0.5", "--f-max", "1.5",
-            "--points-per-arc", "3",
+            tmp_path, "monodromy", "-k", "-33.492171382786005", "-n", "1",
+            "--c", "0.18540157019670336", "--f-max", "26038828.531481273", "--points-per-arc", "6",
         )
         assert code == 3
-        assert capsys.readouterr().err.startswith("convergence failure: ")
+        assert capsys.readouterr().err.startswith(
+            "convergence failure: dphi unwrapping did not stabilize"
+        )
 
 
 class TestPlot:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections.abc import Sequence
 
@@ -46,16 +47,13 @@ def event_driven(table, state, max_reflections=None, max_time=None):
     Each arc starts from the reflection of the previous hit, so its rounding
     error builds on all earlier ones; it is the independent oracle of the
     closed-form bounce map in simulate(). It stops at max_reflections, at
-    max_time, or where a reflection lands on the stable manifold, and returns
-    the run as a Trajectory; it knows nothing of grazing hits.
+    max_time, or where the start or a reflection lies on the stable manifold,
+    and returns the run as a Trajectory; it knows nothing of grazing hits.
     """
     arcs, t, stop_reason = [], 0.0, "reflections"
     while max_reflections is None or len(arcs) < max_reflections:
-        try:
-            dt = time_to_boundary(state, table.k)
-        except ValidationError:
-            if not arcs:
-                raise
+        dt = time_to_boundary(state, table.k)
+        if dt == math.inf:
             stop_reason = "stable-manifold"
             break
         if max_time is not None and t + dt >= max_time:
@@ -189,14 +187,13 @@ class TestTimeToBoundary:
         t = time_to_boundary(PhaseState(1, 0.9999999, 0.0, 1.0, 0.0), K)
         assert 0.0 < t < 1e-6
 
-    def test_rest_at_origin_rejected(self):
-        with pytest.raises(ValidationError):
-            time_to_boundary(PhaseState(1, 0.0, 0.0, 0.0, 0.0), K)
+    def test_rest_at_origin_never_reaches_the_wall(self):
+        assert time_to_boundary(PhaseState(1, 0.0, 0.0, 0.0, 0.0), K) == math.inf
 
     def test_stable_manifold_detected(self):
         # v = -omega * r flows into the equilibrium, never reaching the wall
-        with pytest.raises(ValidationError):
-            time_to_boundary(PhaseState(1, 0.5, 0.0, -0.5, 0.0), K)
+        assert time_to_boundary(PhaseState(1, 0.5, 0.0, -0.5, 0.0), K) == math.inf
+        assert time_to_boundary(PhaseState(1, 0.0, 1.0, 0.0, -1.0), K) == math.inf
 
     def test_first_crossing_on_random_states(self):
         # oracle: dense sampling of the closed-form flow
@@ -340,9 +337,11 @@ class TestSimulate:
             with pytest.raises(ValidationError, match="sheet"):
                 simulate(table, PhaseState(sheet, 0.5, 0.0, 0.0, 1.0), max_reflections=1)
 
-    def test_rest_state_at_origin_reported_not_propagated(self):
-        with pytest.raises(ValidationError, match="focus-focus"):
-            simulate(TABLE, PhaseState(1, 0.0, 0.0, 0.0, 0.0), max_reflections=1)
+    def test_rest_state_at_origin_stops_at_once(self):
+        # the equilibrium lies on its own stable manifold
+        for stop in ({"max_reflections": 1}, {"max_time": 3.0}):
+            traj = simulate(TABLE, PhaseState(1, 0.0, 0.0, 0.0, 0.0), **stop)
+            assert (traj.reflections, traj.stop_reason, len(traj)) == (0, "stable-manifold", 0)
 
     @pytest.mark.parametrize("max_time", [math.inf, math.nan])
     def test_non_finite_max_time_rejected(self, max_time):
@@ -362,6 +361,16 @@ class TestSimulate:
         row[component] = value
         with pytest.raises(ValidationError, match="initial state must be finite"):
             simulate(TABLE, PhaseState(1, *row), max_reflections=3)
+
+    @pytest.mark.parametrize("max_reflections", [None, 5])
+    def test_int_max_time_past_the_float_range_rejected(self, max_reflections):
+        # float() of such an int overflows; an int within the range cuts as its float
+        start = PhaseState(1, 0.5, 0.0, 0.0, 1.0)
+        with pytest.raises(ValidationError, match=r"^max_time must be positive and finite, got 1000"):
+            simulate(TABLE, start, max_reflections, max_time=10**400)
+        assert simulate(TABLE, start, max_time=3) == simulate(TABLE, start, max_time=3.0)
+        huge = int(sys.float_info.max)
+        assert simulate(TABLE, start, 5, max_time=huge) == simulate(TABLE, start, 5)
 
     @pytest.mark.parametrize("max_time", [1e15, 1e30])
     def test_max_time_beyond_memory_rejected(self, max_time):
@@ -734,6 +743,53 @@ def test_head_stops_come_in_time_order(k, sheets, r, ang, speed, heading, max_re
         assert traj.stop_reason != "time" or traj.duration[-1] == ref.duration[-1]
 
 
+@given(
+    p=st.integers(-10, 10),
+    sheets=st.integers(1, 5),
+    r=st.floats(1e-150, 1.0, exclude_max=True),
+    ang=st.floats(0.0, 2.0 * math.pi),
+    outbound=st.booleans(),
+    max_reflections=st.sampled_from((None, 0, 1, 2, 3)),
+    wt=st.none() | st.floats(1e-3, 10.0),
+)
+@example(p=0, sheets=3, r=0.5, ang=0.0, outbound=False, max_reflections=None, wt=3.0)
+@example(p=0, sheets=3, r=0.0, ang=0.0, outbound=True, max_reflections=3, wt=None)
+def test_exact_separatrix(p, sheets, r, ang, outbound, max_reflections, wt):
+    """Starts with v = w x (outbound, b = 0) or v = -w x (inbound, a = 0) exactly: w = 2^p
+    makes both exact in floats. An inbound start, the rest state among them, lies on the stable
+    manifold and stops at once. An outbound start lies on the unstable ray, whose reflection lies
+    on the stable ray: it stops there, after its head arc and 1 reflection. max_reflections and
+    max_time stop either run first where they come first, and no run flows along the ray.
+
+    Below r = 1e-150 an outbound start is left out: under about 1e-162, |a|^2 underflows to 0,
+    and time_to_boundary() takes the start for one on the stable manifold."""
+    assume(max_reflections is not None or wt is not None)
+    w = 2.0**p
+    table = BookTable(k=-w * w, sheets=sheets)
+    x, y = r * math.cos(ang), r * math.sin(ang)
+    sign = 1.0 if outbound else -1.0
+    start = PhaseState(sheets, x, y, sign * w * x, sign * w * y)
+    max_time = None if wt is None else wt / w
+    traj = simulate(table, start, max_reflections, max_time)
+    if max_reflections == 0:
+        expected = (0, "reflections", 0)
+    elif not outbound or x == y == 0.0:
+        expected = (0, "stable-manifold", 0)
+    elif max_time is not None and event_driven(table, start, 1).duration[0] >= max_time:
+        expected = (0, "time", 1)
+    elif max_reflections == 1:
+        expected = (1, "reflections", 1)
+    else:
+        expected = (1, "stable-manifold", 1)
+    assert (traj.reflections, traj.stop_reason, len(traj)) == expected
+    assert not traj.boundary_orbit
+    if expected[1] == "stable-manifold" and expected[0] == 1:
+        # the stepper's reflection lies on the stable ray only to rounding, so it goes on
+        assert first_rows(traj, 1) == event_driven(table, start, 1)
+    else:
+        assert traj == event_driven(table, start, max_reflections, max_time)
+
+
 class TestStopReason:
     def test_reflections_and_time(self):
         start = PhaseState(1, 0.5, 0.0, 0.0, 1.0)
@@ -771,8 +827,9 @@ class TestStopReason:
         traj = simulate(table, start, max_reflections=3)
         assert traj.stop_reason == "stable-manifold" and traj.reflections == len(traj) == 1
         assert traj == event_driven(table, start, max_reflections=3)
-        with pytest.raises(ValidationError, match="stable manifold"):
-            simulate(table, reflect(table, PhaseState(1, *traj.end[0].tolist())), max_reflections=1)
+        reflected = reflect(table, PhaseState(1, *traj.end[0].tolist()))
+        again = simulate(table, reflected, max_reflections=1)
+        assert (again.reflections, again.stop_reason, len(again)) == (0, "stable-manifold", 0)
 
     def test_first_hit_off_the_wall_is_a_convergence_failure(self):
         # at |v|/w = 1e6 the wall-hit time loses digits, so the hit misses
@@ -781,9 +838,12 @@ class TestStopReason:
         with pytest.raises(ConvergenceError, match=r"off the wall: \|r\^2 - 1\| = \d\.\d+e-\d+$"):
             simulate(TABLE, start, max_reflections=10)
 
-    def test_initial_state_on_the_stable_manifold_rejected(self):
-        with pytest.raises(ValidationError, match="stable manifold"):
-            simulate(TABLE, PhaseState(1, 0.5, 0.0, -0.5, 0.0), max_reflections=3)
+    def test_initial_state_on_the_stable_manifold_stops_at_once(self):
+        # with or without max_time: the run does not flow along the ray
+        stops = ({"max_reflections": 3}, {"max_time": 3.0}, {"max_reflections": 3, "max_time": 1e-3})
+        for stop in stops:
+            traj = simulate(TABLE, PhaseState(1, 0.5, 0.0, -0.5, 0.0), **stop)
+            assert (traj.reflections, traj.stop_reason, len(traj)) == (0, "stable-manifold", 0)
 
     def test_critical_orbit_decided_by_the_wall_speed(self):
         # (h, f) 2e-10 above the parabola: the orbit meets the wall at

@@ -30,6 +30,10 @@ from billiardbook.monodromy import (
 
 K = -1.0
 KS = (-0.25, -1.0, -4.0)
+#: a loop around (0, 0) at k = -1 through (0, -0.5) and (0, 0.5): the chord between them has its
+#: bisection midpoint at (0, 0). It is the parabola arc of c = 0.5 with 3 intervals up to
+#: f = 1.5, a count loop_around_origin() now rounds up to 4.
+SINGULAR_CHORD_LOOP = [(2.0, -1.5), (0.0, -0.5), (0.0, 0.5), (2.0, 1.5), (2.0, 0.5), (2.0, -0.5)]
 
 # 200-node Gauss-Legendre rule mapped to [0, pi/2]
 _GL_S, _GL_W = np.polynomial.legendre.leggauss(200)
@@ -350,13 +354,14 @@ class TestContinueTheta:
         assert report.monodromy_matrix == ((1, 0), (1, 1))
 
     def test_two_sheets(self):
-        # an even count samples f = 0 at h > 0, where dphi = pi is taken
-        # without a sign convention; an odd count samples no f = 0 at all
+        # the count is rounded up to even, so both counts sample f = 0 once on the arc, at
+        # h < 0, and once on the closing segment, at h > 0, where dphi = pi is taken without
+        # a sign convention
         table = BookTable(k=K, sheets=2)
         for points_per_arc in (64, 65):
             loop = loop_around_origin(table, c=0.5, points_per_arc=points_per_arc)
-            diameter = [f for h, f in loop if f == 0.0 and h > 0.0]
-            assert len(diameter) == 1 - points_per_arc % 2
+            assert len(loop) == 2 * (points_per_arc + points_per_arc % 2)
+            assert sorted(h > 0.0 for h, f in loop if f == 0.0) == [False, True]
             report = continue_theta(table, loop)
             assert report.m == 2
             assert report.monodromy_matrix == ((1, 0), (2, 1))
@@ -421,7 +426,7 @@ class TestContinueTheta:
             for n in (1, 2, 3, 4, 5):
                 table = BookTable(k=k, sheets=n)
                 for c in (0.3, 0.5, 0.7):
-                    for ratio in (1.1, 1.6, 3.0):
+                    for ratio in (1.1, 1.6, 3.0, 6.0, 200.0):
                         for points_per_arc in range(2, 9):
                             loop = loop_around_origin(
                                 table, c=c, f_max=ratio * c * math.sqrt(-k),
@@ -433,12 +438,9 @@ class TestContinueTheta:
                                 pass
 
     def test_bisection_through_the_singular_value_raises(self):
-        # at f_max = 3 c sqrt(-k) with 3 points per arc, the chord between the
-        # middle arc waypoints has its midpoint at (0, 0)
         table = BookTable(k=K, sheets=2)
-        loop = loop_around_origin(table, c=0.5, f_max=1.5, points_per_arc=3)
         with pytest.raises(ConvergenceError):
-            continue_theta(table, loop)
+            continue_theta(table, SINGULAR_CHORD_LOOP)
 
     @pytest.mark.parametrize("f_max", [1e200, 1e154])
     def test_overflowing_waypoint_rejected(self, f_max):
@@ -529,9 +531,8 @@ class TestContinueTheta:
 
     def test_singular_midpoint_is_named(self):
         table = BookTable(k=K, sheets=2)
-        loop = loop_around_origin(table, c=0.5, f_max=1.5, points_per_arc=3)
         with pytest.raises(ConvergenceError, match=r"^bisection midpoint \(0\.0, 0\.0\) is not"):
-            continue_theta(table, loop)
+            continue_theta(table, SINGULAR_CHORD_LOOP)
 
     def test_start_point_invariance(self):
         table = BookTable(k=K, sheets=2)

@@ -221,15 +221,18 @@ def test_monodromy(lam, sheets, c, factor, points_per_arc):
 
 @pytest.mark.parametrize("lam", [1e-100, 1e-12, 1e100])
 def test_monodromy_refusals(lam):
-    # a corner on the parabola (c near 1), and a bisection midpoint at (0, 0)
-    w = math.sqrt(lam)
-    for c, factor, points_per_arc, error in ((0.9999999999, 1.0, 64, ValidationError),
-                                             (0.5, 3.0, 3, ConvergenceError)):
-        def refusal(k, f_max):
+    # a corner on the parabola (c near 1), and a bisection midpoint at (0, 0): a hand-built
+    # loop whose chord from (0, -0.5) to (0, 0.5) at k = -1 is carried to k = -lam
+    c = 0.9999999999
+    chord = [(2.0, -1.5), (0.0, -0.5), (0.0, 0.5), (2.0, 1.5), (2.0, 0.5), (2.0, -0.5)]
+    loops = {
+        ValidationError: lambda book, w: loop_around_origin(book, c, c * w, 64),
+        ConvergenceError: lambda book, w: [(-book.k * h, w * f) for h, f in chord],
+    }
+    for error, loop in loops.items():
+        def refusal(k):
             book = BookTable(k, 2)
-            return outcome(lambda: continue_theta(
-                book, loop_around_origin(book, c, f_max, points_per_arc)
-            ))
-        reference = refusal(-1.0, factor * c)
+            return outcome(lambda: continue_theta(book, loop(book, math.sqrt(-k))))
+        reference = refusal(-1.0)
         assert reference[0] is error
-        assert refusal(-lam, factor * c * w) == reference
+        assert refusal(-lam) == reference
