@@ -1,8 +1,9 @@
 """Command-line surface: reproduce the figures and tables as CSV/JSON/SVG.
 
-Configuration comes from an optional JSON document plus flag overrides; all
-resolved values are echoed into emitted JSON reports for provenance. Exit
-codes: 0 success, 2 validation error, 3 numerical-convergence failure.
+Each option resolves once, in the parser: a flag beats a --config file value,
+which beats the builtin default. JSON reports echo every option of their
+command at its resolved value, for provenance. Exit codes: 0 success, 2
+validation error, 3 numerical-convergence failure.
 """
 
 from __future__ import annotations
@@ -54,61 +55,58 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, sheets=True):
-        p.add_argument("-k", type=_finite, default=None, help="Hooke coefficient, negative")
+        p.add_argument("-k", type=_finite, default=-1.0, help="Hooke coefficient, negative")
         if sheets:  # diagram and eigen do not depend on the sheet count
-            p.add_argument("-n", "--sheets", type=int, default=None, help="number of sheets")
+            p.add_argument("-n", "--sheets", type=int, default=1, help="number of sheets")
 
     p = sub.add_parser("simulate", help="propagate a trajectory, write CSV (and SVG)")
     common(p)
     p.add_argument("--initial", type=_finite, nargs=4, metavar=("X", "Y", "VX", "VY"))
-    p.add_argument("--sheet", type=int, default=None)
-    p.add_argument("--reflections", type=int, default=None)
-    p.add_argument("--time", type=_finite, default=None)
-    p.add_argument("--seed", type=int, default=None, help="random initial state seed")
-    p.add_argument("--samples-per-segment", type=int, default=None)
-    # store-true flags default to None so that an unset flag defers to --config
-    p.add_argument(
-        "--svg", action="store_true", default=None, help="also draw the orbit and annulus"
-    )
+    p.add_argument("--sheet", type=int, default=1)
+    p.add_argument("--reflections", type=int)
+    p.add_argument("--time", type=_finite)
+    p.add_argument("--seed", type=int, default=0, help="random initial state seed")
+    p.add_argument("--samples-per-segment", type=int, default=16)
+    p.add_argument("--svg", action="store_true", help="also draw the orbit and annulus")
 
     p = sub.add_parser("diagram", help="bifurcation diagram CSV (and SVG)")
     common(p, sheets=False)
-    p.add_argument("--f-min", type=_finite, default=None)
-    p.add_argument("--f-max", type=_finite, default=None)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--svg", action="store_true", default=None)
+    p.add_argument("--f-min", type=_finite, default=-1.5)
+    p.add_argument("--f-max", type=_finite, default=1.5)
+    p.add_argument("--resolution", type=int, default=201)
+    p.add_argument("--svg", action="store_true")
 
     p = sub.add_parser("classify", help="classify fibers at a value or on a grid")
     common(p)
-    p.add_argument("--h", type=_finite, default=None)
-    p.add_argument("--f", type=_finite, default=None)
-    p.add_argument("--grid", action="store_true", default=None)
-    p.add_argument("--h-min", type=_finite, default=None)
-    p.add_argument("--h-max", type=_finite, default=None)
-    p.add_argument("--f-min", type=_finite, default=None)
-    p.add_argument("--f-max", type=_finite, default=None)
-    p.add_argument("--resolution", type=int, default=None)
+    p.add_argument("--h", type=_finite)
+    p.add_argument("--f", type=_finite)
+    p.add_argument("--grid", action="store_true")
+    p.add_argument("--h-min", type=_finite, default=-1.5)
+    p.add_argument("--h-max", type=_finite, default=1.5)
+    p.add_argument("--f-min", type=_finite, default=-1.5)
+    p.add_argument("--f-max", type=_finite, default=1.5)
+    p.add_argument("--resolution", type=int, default=201)
 
     p = sub.add_parser("eigen", help="pencil spectrum JSON report")
     common(p, sheets=False)
-    p.add_argument("--lam", type=_finite, default=None)
-    p.add_argument("--mu", type=_finite, default=None)
+    p.add_argument("--lam", type=_finite, default=1.0)
+    p.add_argument("--mu", type=_finite, default=1.0)
 
     p = sub.add_parser("rotation", help="radial period and angular advance at (h, f)")
     common(p)
     p.add_argument("--h", type=_finite, required=True)
     p.add_argument("--f", type=_finite, required=True)
-    p.add_argument("--compare-sim", action="store_true", default=None)
+    p.add_argument("--compare-sim", action="store_true")
 
     p = sub.add_parser("monodromy", help="continue theta along a loop, report m")
     common(p)
-    p.add_argument("--c", type=_finite, default=None, help="inner-radius loop parameter")
-    p.add_argument("--f-max", type=_finite, default=None)
-    p.add_argument("--points-per-arc", type=int, default=None)
+    p.add_argument("--c", type=_finite, default=0.5, help="inner-radius loop parameter")
+    p.add_argument("--f-max", type=_finite, default=0.8)
+    p.add_argument("--points-per-arc", type=int, default=64)
 
     p = sub.add_parser("plot", help="orbit SVG from an existing trajectory CSV")
     p.add_argument("--trajectory", type=Path, required=True)
-    p.add_argument("--output", type=Path, default=None)
+    p.add_argument("--output", type=Path)
 
     return parser, sub.choices
 
@@ -130,37 +128,23 @@ def _fits(kind, nargs, value) -> bool:
     return isinstance(value, int if kind is int else str)
 
 
-class _Config:
-    """Layered lookup: CLI flag, then config-file key, then builtin default."""
-
-    def __init__(self, args: argparse.Namespace, command: argparse.ArgumentParser):
-        self.args = args
-        self.options = {action.dest: action for action in command._actions}
-        self.file: dict = {}
-        if args.config is not None:
-            try:
-                self.file = json.loads(Path(args.config).read_text())
-            except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-                raise ValidationError(f"cannot read --config {args.config}: {exc}") from None
-            if not isinstance(self.file, dict):
-                raise ValidationError(f"--config {args.config} is not a JSON object")
-        self.resolved: dict = {}
-
-    def get(self, key: str, default=None):
-        dest = key.replace("-", "_")
-        value = getattr(self.args, dest, None)
-        if value is None and key in self.file:
-            value = self.file[key]
-            action = self.options[dest]
-            if not _fits(action.type, action.nargs, value):
-                raise ValidationError(
-                    f"--config {self.args.config}: {value!r} does not fit "
-                    f"{action.option_strings[-1]}"
-                )
-        elif value is None:
-            value = default
-        self.resolved[key] = value
-        return value
+def _file_defaults(path: Path, command: argparse.ArgumentParser) -> dict:
+    """The values of a --config file that name an option of command (by long name, as
+    sheets, f-max, compare-sim), by dest, each checked against its option's type."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ValidationError(f"cannot read --config {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"--config {path} is not a JSON object")
+    options = {a.dest.replace("_", "-"): a for a in command._actions if a.dest != "help"}
+    chosen = {options[key]: value for key, value in doc.items() if key in options}
+    for action, value in chosen.items():
+        if not _fits(action.type, action.nargs, value):
+            raise ValidationError(
+                f"--config {path}: {value!r} does not fit {action.option_strings[-1]}"
+            )
+    return {action.dest: value for action, value in chosen.items()}
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -172,9 +156,11 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _report(cfg: _Config, doc: dict, path: Path | None = None) -> None:
-    """Emit a JSON report with the resolved config: to path (then print it), or to stdout."""
-    doc["config"] = cfg.resolved
+def _report(args: argparse.Namespace, doc: dict, path: Path | None = None) -> None:
+    """Emit a JSON report whose config is each option of the command, by long name, at its
+    resolved value: to path (then print it), or to stdout."""
+    before = ("config", "out_dir", "command")  # the options before the command
+    doc["config"] = {d.replace("_", "-"): v for d, v in vars(args).items() if d not in before}
     if path is None:
         sys.stdout.write(io.json_text(doc))
     else:
@@ -182,39 +168,28 @@ def _report(cfg: _Config, doc: dict, path: Path | None = None) -> None:
         print(path)
 
 
-def _table(cfg: _Config) -> BookTable:
-    k = cfg.get("k", -1.0)
-    n = cfg.get("sheets", 1)
-    return BookTable(k=k, sheets=n)
+def _table(args: argparse.Namespace) -> BookTable:
+    return BookTable(k=args.k, sheets=args.sheets)
 
 
-def _cmd_simulate(args, cfg: _Config, out: Path) -> int:
-    table = _table(cfg)
-    stop_reflections = cfg.get("reflections")
-    stop_time = cfg.get("time")
-    if stop_reflections is None and stop_time is None:
-        raise ValidationError(
-            "a stop condition is required: --reflections N or --time T"
-        )
-    initial = cfg.get("initial")
-    sheet = cfg.get("sheet", 1)
+def _cmd_simulate(args, out: Path) -> int:
+    table = _table(args)
+    if args.reflections is None and args.time is None:
+        raise ValidationError("a stop condition is required: --reflections N or --time T")
+    initial = args.initial
     if initial is None:
-        seed = cfg.get("seed", 0)
-        if seed < 0:
-            raise ValidationError(f"--seed must be non-negative, got {seed}")
-        rng = np.random.default_rng(seed)
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
+        rng = np.random.default_rng(args.seed)
         r = 0.9 * math.sqrt(rng.uniform())
         ang = rng.uniform(0.0, 2.0 * math.pi)
         vx, vy = rng.uniform(-1.0, 1.0, size=2)
         initial = [r * math.cos(ang), r * math.sin(ang), vx, vy]
-    state = PhaseState(sheet, *map(float, initial))
-    trajectory = simulate(
-        table, state, max_reflections=stop_reflections, max_time=stop_time
-    )
-    samples = cfg.get("samples-per-segment", 16)
-    io.write_trajectory_csv(out / "trajectory.csv", table, trajectory, samples)
+    state = PhaseState(args.sheet, *map(float, initial))
+    trajectory = simulate(table, state, max_reflections=args.reflections, max_time=args.time)
+    io.write_trajectory_csv(out / "trajectory.csv", table, trajectory, args.samples_per_segment)
     print(out / "trajectory.csv")
-    if cfg.get("svg", False):
+    if args.svg:
         mv = momentum_map(state, table.k)
         inner = inner_radius(mv.h, mv.f, table.k) if in_image(mv.h, mv.f, table.k) else None
         io.write_orbit_svg(out / "orbit.svg", table, trajectory, inner=inner)
@@ -228,35 +203,29 @@ def _cmd_simulate(args, cfg: _Config, out: Path) -> int:
     return 0
 
 
-def _cmd_diagram(args, cfg: _Config, out: Path) -> int:
-    k = cfg.get("k", -1.0)
-    diagram = bifurcation_diagram(
-        k,
-        f_min=cfg.get("f-min", -1.5),
-        f_max=cfg.get("f-max", 1.5),
-        resolution=cfg.get("resolution", 201),
-    )
+def _cmd_diagram(args, out: Path) -> int:
+    diagram = bifurcation_diagram(args.k, args.f_min, args.f_max, args.resolution)
     io.write_diagram_csv(out / "diagram.csv", diagram)
     print(out / "diagram.csv")
-    if cfg.get("svg", False):
+    if args.svg:
         io.write_diagram_svg(out / "diagram.svg", diagram)
         print(out / "diagram.svg")
     return 0
 
 
-def _cmd_classify(args, cfg: _Config, out: Path) -> int:
-    table = _table(cfg)
-    if cfg.get("grid", False):
-        resolution = cfg.get("resolution", 201)
+def _cmd_classify(args, out: Path) -> int:
+    table = _table(args)
+    if args.grid:
+        resolution = args.resolution
         if resolution < 2:
             raise ValidationError("resolution must be >= 2")
         require_fits(2 * 8 * resolution**2, "resolution=%r", resolution)  # h and f of each cell
-        h = np.linspace(cfg.get("h-min", -1.5), cfg.get("h-max", 1.5), resolution)
-        f = np.linspace(cfg.get("f-min", -1.5), cfg.get("f-max", 1.5), resolution)
+        h = np.linspace(args.h_min, args.h_max, resolution)
+        f = np.linspace(args.f_min, args.f_max, resolution)
         io.write_classification_csv(out / "classification.csv", table, h, f)
         print(out / "classification.csv")
         return 0
-    h, f = cfg.get("h"), cfg.get("f")
+    h, f = args.h, args.f
     if h is None or f is None:
         raise ValidationError("classify needs --h and --f (or --grid)")
     fiber = classify_fiber(table, h, f)
@@ -267,20 +236,19 @@ def _cmd_classify(args, cfg: _Config, out: Path) -> int:
         "pinches": fiber.pinches,
         "contains_focus_focus": fiber.contains_focus_focus,
     }
-    _report(cfg, doc)
+    _report(args, doc)
     return 0
 
 
-def _cmd_eigen(args, cfg: _Config, out: Path) -> int:
-    k = cfg.get("k", -1.0)
-    spectrum = pencil_eigenvalues(k, cfg.get("lam", 1.0), cfg.get("mu", 1.0))
-    _report(cfg, io.spectrum_report_dict(k, spectrum), out / "spectrum.json")
+def _cmd_eigen(args, out: Path) -> int:
+    spectrum = pencil_eigenvalues(args.k, args.lam, args.mu)
+    _report(args, io.spectrum_report_dict(args.k, spectrum), out / "spectrum.json")
     return 0
 
 
-def _cmd_rotation(args, cfg: _Config, out: Path) -> int:
-    table = _table(cfg)
-    h, f = cfg.get("h"), cfg.get("f")
+def _cmd_rotation(args, out: Path) -> int:
+    table = _table(args)
+    h, f = args.h, args.f
     sample = radial_period_quadrature(table, h, f)
     doc = {
         "h": h,
@@ -289,30 +257,25 @@ def _cmd_rotation(args, cfg: _Config, out: Path) -> int:
         "dphi": sample.dphi,
         "theta": sample.theta,
     }
-    if cfg.get("compare-sim", False):
+    if args.compare_sim:
         sim = radial_period_simulated(table, h, f)
         doc["T_r_sim"] = sim.T_r
         doc["dphi_sim"] = sim.dphi
-    _report(cfg, doc)
+    _report(args, doc)
     return 0
 
 
-def _cmd_monodromy(args, cfg: _Config, out: Path) -> int:
-    table = _table(cfg)
-    loop = loop_around_origin(
-        table,
-        c=cfg.get("c", 0.5),
-        f_max=cfg.get("f-max", 0.8),
-        points_per_arc=cfg.get("points-per-arc", 64),
-    )
+def _cmd_monodromy(args, out: Path) -> int:
+    table = _table(args)
+    loop = loop_around_origin(table, c=args.c, f_max=args.f_max, points_per_arc=args.points_per_arc)
     report = continue_theta(table, loop)
-    _report(cfg, io.monodromy_report_dict(report), out / "monodromy.json")
+    _report(args, io.monodromy_report_dict(report), out / "monodromy.json")
     io.write_continuation_csv(out / "continuation.csv", report)
     print(out / "continuation.csv")
     return 0
 
 
-def _cmd_plot(args, cfg: _Config, out: Path) -> int:
+def _cmd_plot(args, out: Path) -> int:
     try:
         meta, columns = io.read_trajectory_csv(args.trajectory)
         table = BookTable(k=meta["k"], sheets=meta["n"])
@@ -363,11 +326,14 @@ def _as_value(token: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
-    args = parser.parse_args([_as_value(a) for a in (sys.argv[1:] if argv is None else argv)])
+    argv = [_as_value(a) for a in (sys.argv[1:] if argv is None else argv)]
+    args = parser.parse_args(argv)
     try:
-        cfg = _Config(args, commands[args.command])
-        out = _out_dir(args)
-        return _COMMANDS[args.command](args, cfg, out)
+        if args.config is not None:  # the file's values become defaults, which a flag beats
+            command = commands[args.command]
+            command.set_defaults(**_file_defaults(args.config, command))
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args, _out_dir(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

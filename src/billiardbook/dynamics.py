@@ -51,6 +51,8 @@ from .momentum import h_and_f, momentum_map
 _CHUNK = 2048
 #: bytes of one row of a Trajectory's columns: start, end, sheet and duration
 _ROW_BYTES = 4 * 8 + 4 * 8 + 8 + 8
+#: the least normal float, and the largest w t whose exp(w t) is a float
+_MIN_NORMAL, _MAX_WT = sys.float_info.min, math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,6 +192,8 @@ def flow_free(state: PhaseState, t: float, k: float) -> PhaseState:
         raise ValidationError("propagation time must be nonnegative")
     require_repelling(k)
     w = math.sqrt(-k)
+    if w * t > _MAX_WT:
+        raise ValidationError(f"t={t!r} at k={k!r} puts exp(w t) past the float range")
     return PhaseState(state.sheet, *_flow(state.x, state.y, state.vx, state.vy, w, math.exp(w * t)))
 
 
@@ -211,7 +215,9 @@ def time_to_boundary(state: PhaseState, k: float) -> float:
     On the closed disk 1 - 2a.b >= 1/2 and the discriminant _wall_speed2()
     is a sum of non-negative terms, so the root has no cancellation. A start
     within BOUNDARY_TOL outside the wall counts as on it; a start on the wall
-    moving outward returns 0, and one on the stable manifold (a = 0) inf.
+    moving outward returns 0, and one on the stable manifold (a = 0 exactly,
+    by its components) inf. A tiny nonzero a reflects: where |a|^2 falls below
+    the normal float range, log(2|a|^2) is taken from log|a| instead.
     """
     require_repelling(k)
     r2 = state.r2
@@ -220,12 +226,16 @@ def time_to_boundary(state: PhaseState, k: float) -> float:
     w = math.sqrt(-k)
     ax, ay = 0.5 * (state.x + state.vx / w), 0.5 * (state.y + state.vy / w)
     a2 = ax * ax + ay * ay
-    if a2 == 0.0:  # v = -w*x: the inbound stable ray, or rest at the origin
+    if a2 >= _MIN_NORMAL:
+        log_2a2 = math.log(2.0 * a2)
+    elif ax == ay == 0.0:  # v = -w*x: the inbound stable ray, or rest at the origin
         return math.inf
+    else:  # |a| below about 1.5e-162 squares to a subnormal or to 0
+        log_2a2 = math.log(2.0) + 2.0 * math.log(math.hypot(ax, ay))
     # u = (1 - 2a.b + sqrt(disc)) / (2|a|^2) with 2a.b = (r^2 - |v/w|^2)/2,
     # taken as a difference of logs since u overflows when |a|^2 is tiny
     disc = _wall_speed2(state, k)
-    log_u = math.log(1.0 - 0.5 * (r2 - state.speed2 / -k) + math.sqrt(disc)) - math.log(2.0 * a2)
+    log_u = math.log(1.0 - 0.5 * (r2 - state.speed2 / -k) + math.sqrt(disc)) - log_2a2
     return max(log_u, 0.0) / (2.0 * w)
 
 
@@ -391,7 +401,8 @@ def simulate(
     the wall (reflected) except possibly the last, which max_time cuts or
     which ends at a grazing hit; ``stop_reason`` says which stop came first.
     A first wall hit off the wall (|r^2 - 1| not below BOUNDARY_TOL, which
-    the wall-hit time misses at large |v|/w) raises ConvergenceError.
+    the wall-hit time misses at large |v|/w) raises ConvergenceError, and so
+    does an arc whose exp(w t) passes the float range.
     """
     if max_reflections is None and max_time is None:
         raise ValidationError("a stop condition (max_reflections or max_time) is required")
@@ -429,10 +440,13 @@ def simulate(
         t = math.inf if made and unstable else time_to_boundary(start, k)
         if t == math.inf:
             return _arcs(arcs, made, "stable-manifold")
-        if max_time is not None and clock + t >= max_time:
-            cut = max_time - clock
-            return _arcs(arcs + [(start, cut, flow_free(start, cut, k))], made, "time")
+        cut = max_time is not None and clock + t >= max_time
+        t = max_time - clock if cut else t
+        if w * t > _MAX_WT:  # an |a| near the subnormal range: no input is at fault
+            raise ConvergenceError(f"the flow from {start} for t={t!r} passes the float range")
         hit = flow_free(start, t, k)
+        if cut:
+            return _arcs(arcs + [(start, t, hit)], made, "time")
         residual = abs(hit.r2 - 1.0)
         if not (made or residual < BOUNDARY_TOL):  # the wall-hit solver failed: no input is at fault
             raise ConvergenceError(f"the first wall hit is off the wall: |r^2 - 1| = {residual:.3g}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import billiardbook
-from billiardbook import BookTable, classify_fiber, io
+from billiardbook import BookTable, classify_fiber, cli, io
 from billiardbook.cli import main
 
 
@@ -432,6 +432,85 @@ def test_json_reports_carry_the_config_in_one_form(tmp_path, capsys, argv, path)
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# Per command: the flags it requires; an option of each kind it has, as (long name, flag argv,
+# flag value, file value, builtin default); the argv of a run that writes a JSON report and the
+# long names of all its options, which that report's config holds; and a file value that does
+# not fit an option the run does not read, with the argv that leaves it unread.
+RESOLUTION = {
+    "simulate": ([], [
+        ("k", ["-k", "-2"], -2.0, -3.0, -1.0),
+        ("seed", ["--seed", "3"], 3, 7, 0),
+        ("initial", ["--initial", "0.1", "0", "0", "1"], [0.1, 0.0, 0.0, 1.0], [0.2, 0, 0, 1], None),
+        ("svg", ["--svg"], True, True, False),
+    ], None, None, ({"seed": "x"}, ["--initial", "0.5", "0", "0", "1", "--reflections", "1"])),
+    "diagram": ([], [
+        ("f-min", ["--f-min", "-1"], -1.0, -2.0, -1.5),
+        ("resolution", ["--resolution", "5"], 5, 7, 201),
+        ("svg", ["--svg"], True, True, False),
+    ], None, None, ({"k": "x"}, ["-k", "-1"])),
+    "classify": ([], [
+        ("h-max", ["--h-max", "1"], 1.0, 2.0, 1.5),
+        ("resolution", ["--resolution", "5"], 5, 7, 201),
+        ("grid", ["--grid"], True, True, False),
+    ], ["--h", "0.3", "--f", "0.2"],
+        {"k", "sheets", "h", "f", "grid", "h-min", "h-max", "f-min", "f-max", "resolution"},
+        ({"h-min": [0]}, ["--h", "0.3", "--f", "0.2"])),
+    "eigen": ([], [
+        ("lam", ["--lam", "2"], 2.0, 3.0, 1.0),
+    ], [], {"k", "lam", "mu"}, ({"mu": True}, ["--mu", "2"])),
+    "rotation": (["--h", "0.375", "--f", "0.5"], [
+        ("k", ["-k", "-2"], -2.0, -3.0, -1.0),
+        ("sheets", ["-n", "2"], 2, 3, 1),
+        ("compare-sim", ["--compare-sim"], True, True, False),
+    ], [], {"k", "sheets", "h", "f", "compare-sim"}, ({"sheets": 2.5}, ["-n", "2"])),
+    "monodromy": ([], [
+        ("c", ["--c", "0.4"], 0.4, 0.45, 0.5),
+        ("points-per-arc", ["--points-per-arc", "8"], 8, 16, 64),
+    ], ["--points-per-arc", "4"], {"k", "sheets", "c", "f-max", "points-per-arc"},
+        ({"c": "0.4"}, ["--c", "0.4"])),
+    "plot": (["--trajectory", "t.csv"], [
+        ("output", ["--output", "a.svg"], "a.svg", "b.svg", None),
+    ], None, None, ({"output": 3}, ["--output", "a.svg"])),
+}
+
+
+@pytest.mark.parametrize("command", RESOLUTION)
+def test_each_option_resolves_flag_then_file_then_builtin(tmp_path, capsys, monkeypatch, command):
+    required, kinds, report_argv, names, (misfit, unread_argv) = RESOLUTION[command]
+    config = tmp_path / "config.json"
+
+    def call(doc, *argv):
+        config.write_text(json.dumps(doc))
+        return main(["--config", str(config), "--out-dir", str(tmp_path / "out"), command, *argv])
+
+    # refused before the run, and before --out-dir is made, though the run would not read it
+    assert call(misfit, *required, *unread_argv) == 2
+    assert "does not fit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    if report_argv is not None:  # the report echoes each option of the command, by long name
+        assert call({}, *required, *report_argv) == 0
+        out = capsys.readouterr().out
+        path = {"eigen": "spectrum.json", "monodromy": "monodromy.json"}.get(command)
+        doc = json.loads(out if path is None else (tmp_path / "out" / path).read_text())
+        assert set(doc["config"]) == names
+
+    seen = {}
+    monkeypatch.setitem(cli._COMMANDS, command, lambda args, out: seen.update(vars(args)) or 0)
+
+    def resolved(dest, doc, *argv):
+        assert call(doc, *required, *argv) == 0
+        value = seen[dest]
+        return str(value) if isinstance(value, Path) else value
+
+    for name, flag_argv, flag, file, builtin in kinds:
+        dest = name.replace("-", "_")
+        assert resolved(dest, {}) == builtin
+        assert resolved(dest, {name: file}) == file
+        # a store-true flag can only beat a file's false
+        assert resolved(dest, {name: file if file != flag else False}, *flag_argv) == flag
+
+
 NON_FINITE_FLAGS = {
     "rotation-h": ["rotation", "--h", "nan", "--f", "0.5"],
     "classify-h": ["classify", "--h", "nan", "--f", "0.2"],
@@ -478,7 +557,7 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, name):
     assert main(["--config", str(config), "--out-dir", str(out_dir)] + argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and "does not fit" in err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()  # refused before --out-dir is made
 
 
 # inputs refused before any output is written: sizes beyond physical memory

@@ -166,6 +166,12 @@ class TestFlowFree:
         with pytest.raises(ValidationError):
             flow_free(PhaseState(1, 0.1, 0.0, 0.0, 0.0), -1e-9, K)
 
+    @pytest.mark.parametrize("t", [800.0, math.inf])
+    def test_time_past_the_float_range_rejected(self, t):
+        # exp(w t) is past the float range for w t above ln(max float), about 709.78
+        with pytest.raises(ValidationError, match=f"t={t!r} at k=-1.0 "):
+            flow_free(PhaseState(1, 0.1, 0.0, 0.0, 0.0), t, K)
+
     def test_conserves_h_and_f_on_random_states(self):
         # oracle: evaluate H and F directly before and after the flow
         rng = np.random.default_rng(1)
@@ -194,6 +200,14 @@ class TestTimeToBoundary:
         # v = -omega * r flows into the equilibrium, never reaching the wall
         assert time_to_boundary(PhaseState(1, 0.5, 0.0, -0.5, 0.0), K) == math.inf
         assert time_to_boundary(PhaseState(1, 0.0, 1.0, 0.0, -1.0), K) == math.inf
+
+    @pytest.mark.parametrize("x", [1e-170, 1e-200, 1e-300])
+    def test_tiny_light_cone_half_reaches_the_wall(self, x):
+        # a = (x/2, 0) and b = (x/2, 1/2), so u = exp(2t) solves
+        # (x^2/4) u^2 - (1 - x^2/2) u + (1 + x^2)/4 = 0 and t = ln(2/x) to within x^2;
+        # |a|^2 is below the normal float range for each x
+        t = time_to_boundary(PhaseState(1, x, 0.5, 0.0, -0.5), K)
+        assert t == pytest.approx(math.log(2.0 / x), rel=1e-14)
 
     def test_first_crossing_on_random_states(self):
         # oracle: dense sampling of the closed-form flow
@@ -746,7 +760,7 @@ def test_head_stops_come_in_time_order(k, sheets, r, ang, speed, heading, max_re
 @given(
     p=st.integers(-10, 10),
     sheets=st.integers(1, 5),
-    r=st.floats(1e-150, 1.0, exclude_max=True),
+    r=st.floats(1e-300, 1.0, exclude_max=True),
     ang=st.floats(0.0, 2.0 * math.pi),
     outbound=st.booleans(),
     max_reflections=st.sampled_from((None, 0, 1, 2, 3)),
@@ -759,16 +773,15 @@ def test_exact_separatrix(p, sheets, r, ang, outbound, max_reflections, wt):
     makes both exact in floats. An inbound start, the rest state among them, lies on the stable
     manifold and stops at once. An outbound start lies on the unstable ray, whose reflection lies
     on the stable ray: it stops there, after its head arc and 1 reflection. max_reflections and
-    max_time stop either run first where they come first, and no run flows along the ray.
-
-    Below r = 1e-150 an outbound start is left out: under about 1e-162, |a|^2 underflows to 0,
-    and time_to_boundary() takes the start for one on the stable manifold."""
+    max_time stop either run first where they come first, and no run flows along the ray."""
     assume(max_reflections is not None or wt is not None)
     w = 2.0**p
     table = BookTable(k=-w * w, sheets=sheets)
     x, y = r * math.cos(ang), r * math.sin(ang)
     sign = 1.0 if outbound else -1.0
     start = PhaseState(sheets, x, y, sign * w * x, sign * w * y)
+    # w x is exact unless it falls below the normal float range, where it is rounded
+    assume(start.vx / w == sign * x and start.vy / w == sign * y)
     max_time = None if wt is None else wt / w
     traj = simulate(table, start, max_reflections, max_time)
     if max_reflections == 0:
@@ -837,6 +850,22 @@ class TestStopReason:
         start = PhaseState(1, 0.3, 0.1, 6e5, -8e5)
         with pytest.raises(ConvergenceError, match=r"off the wall: \|r\^2 - 1\| = \d\.\d+e-\d+$"):
             simulate(TABLE, start, max_reflections=10)
+
+    def test_tiny_light_cone_half_reflects(self):
+        # |a| = 5e-171, whose square underflows: a is not 0, so the start is off the stable manifold
+        traj = simulate(TABLE, PhaseState(1, 1e-170, 0.5, 0.0, -0.5), max_reflections=1)
+        assert (traj.reflections, traj.stop_reason) == (1, "reflections")
+        assert traj.duration[0] == pytest.approx(math.log(2e170), rel=1e-14)  # 392.1326
+
+    def test_subnormal_light_cone_half_is_a_convergence_failure(self):
+        # |a| = 5e-311: the wall hit comes at t = ln(2/x) = 714.49, past the float range of
+        # exp(t); a max_time cut before the hit is made as long as exp(t) is a float
+        start = PhaseState(1, 1e-310, 0.5, 0.0, -0.5)
+        for stop in ({"max_reflections": 1}, {"max_time": 712.0}):
+            with pytest.raises(ConvergenceError, match=r"x=1e-310, .* for t=7\d\d\.\d+ passes"):
+                simulate(TABLE, start, **stop)
+        traj = simulate(TABLE, start, max_time=709.0)
+        assert (traj.reflections, traj.stop_reason, traj.duration.tolist()) == (0, "time", [709.0])
 
     def test_initial_state_on_the_stable_manifold_stops_at_once(self):
         # with or without max_time: the run does not flow along the ray
