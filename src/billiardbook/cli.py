@@ -123,8 +123,8 @@ def _fits(kind, nargs, value) -> bool:
         )
     if isinstance(value, bool):
         return False
-    if kind is _finite:  # json.loads reads NaN and Infinity as floats
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if kind is _finite:  # json.loads reads NaN and Infinity as floats; a huge int fails too
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, int if kind is int else str)
 
 
@@ -144,6 +144,8 @@ def _file_defaults(path: Path, command: argparse.ArgumentParser) -> dict:
             raise ValidationError(
                 f"--config {path}: {value!r} does not fit {action.option_strings[-1]}"
             )
+        if action.type is _finite:  # an int becomes the float that its flag parses to
+            chosen[action] = [*map(float, value)] if isinstance(value, list) else float(value)
     return {action.dest: value for action, value in chosen.items()}
 
 
@@ -172,7 +174,7 @@ def _table(args: argparse.Namespace) -> BookTable:
     return BookTable(k=args.k, sheets=args.sheets)
 
 
-def _cmd_simulate(args, out: Path) -> int:
+def _cmd_simulate(args, out: Path) -> None:
     table = _table(args)
     if args.reflections is None and args.time is None:
         raise ValidationError("a stop condition is required: --reflections N or --time T")
@@ -200,20 +202,18 @@ def _cmd_simulate(args, out: Path) -> int:
             f"reflections made: {trajectory.reflections}",
             file=sys.stderr,
         )
-    return 0
 
 
-def _cmd_diagram(args, out: Path) -> int:
+def _cmd_diagram(args, out: Path) -> None:
     diagram = bifurcation_diagram(args.k, args.f_min, args.f_max, args.resolution)
     io.write_diagram_csv(out / "diagram.csv", diagram)
     print(out / "diagram.csv")
     if args.svg:
         io.write_diagram_svg(out / "diagram.svg", diagram)
         print(out / "diagram.svg")
-    return 0
 
 
-def _cmd_classify(args, out: Path) -> int:
+def _cmd_classify(args, out: Path) -> None:
     table = _table(args)
     if args.grid:
         resolution = args.resolution
@@ -224,7 +224,7 @@ def _cmd_classify(args, out: Path) -> int:
         f = np.linspace(args.f_min, args.f_max, resolution)
         io.write_classification_csv(out / "classification.csv", table, h, f)
         print(out / "classification.csv")
-        return 0
+        return
     h, f = args.h, args.f
     if h is None or f is None:
         raise ValidationError("classify needs --h and --f (or --grid)")
@@ -237,16 +237,14 @@ def _cmd_classify(args, out: Path) -> int:
         "contains_focus_focus": fiber.contains_focus_focus,
     }
     _report(args, doc)
-    return 0
 
 
-def _cmd_eigen(args, out: Path) -> int:
+def _cmd_eigen(args, out: Path) -> None:
     spectrum = pencil_eigenvalues(args.k, args.lam, args.mu)
     _report(args, io.spectrum_report_dict(args.k, spectrum), out / "spectrum.json")
-    return 0
 
 
-def _cmd_rotation(args, out: Path) -> int:
+def _cmd_rotation(args, out: Path) -> None:
     table = _table(args)
     h, f = args.h, args.f
     sample = radial_period_quadrature(table, h, f)
@@ -262,20 +260,18 @@ def _cmd_rotation(args, out: Path) -> int:
         doc["T_r_sim"] = sim.T_r
         doc["dphi_sim"] = sim.dphi
     _report(args, doc)
-    return 0
 
 
-def _cmd_monodromy(args, out: Path) -> int:
+def _cmd_monodromy(args, out: Path) -> None:
     table = _table(args)
     loop = loop_around_origin(table, c=args.c, f_max=args.f_max, points_per_arc=args.points_per_arc)
     report = continue_theta(table, loop)
     _report(args, io.monodromy_report_dict(report), out / "monodromy.json")
     io.write_continuation_csv(out / "continuation.csv", report)
     print(out / "continuation.csv")
-    return 0
 
 
-def _cmd_plot(args, out: Path) -> int:
+def _cmd_plot(args, out: Path) -> None:
     try:
         meta, columns = io.read_trajectory_csv(args.trajectory)
         table = BookTable(k=meta["k"], sheets=meta["n"])
@@ -296,7 +292,6 @@ def _cmd_plot(args, out: Path) -> int:
     except ValidationError as exc:  # a path that cannot take the file
         raise ValidationError(f"--output: {exc}") from None
     print(output)
-    return 0
 
 
 _COMMANDS = {
@@ -333,13 +328,14 @@ def main(argv: list[str] | None = None) -> int:
             command = commands[args.command]
             command.set_defaults(**_file_defaults(args.config, command))
             args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, _out_dir(args))
+        _COMMANDS[args.command](args, _out_dir(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -188,8 +188,8 @@ def _reflected(x, y, vx, vy, r):
 
 def flow_free(state: PhaseState, t: float, k: float) -> PhaseState:
     """Propagate the in-disk Hooke flow for time t (no wall check)."""
-    if t < 0:
-        raise ValidationError("propagation time must be nonnegative")
+    if not t >= 0:  # NaN too
+        raise ValidationError(f"propagation time t must be nonnegative, got {t!r}")
     require_repelling(k)
     w = math.sqrt(-k)
     if w * t > _MAX_WT:
@@ -371,8 +371,9 @@ def _bounce_map(
         x, y, vx, vy = x[:m], y[:m], vx[:m], vy[:m]
         _, vx, vy = _reflected(x, y, vx, vy, np.sqrt(x * x + y * y))
         start[lo + 1 : lo + 1 + m].T[:] = x, y, vx, vy
-    cycle = (np.arange(table.sheets) + (initial.sheet - 1)) % table.sheets + 1
-    sheet = np.tile(cycle, -(-rows // table.sheets))[:rows]
+    # row j lies on sheet next_sheet(initial.sheet, j), which repeats after n rows
+    cycle = table.next_sheet(initial.sheet, np.arange(min(table.sheets, rows)))
+    sheet = np.tile(cycle, -(-rows // len(cycle)))[:rows]
     duration = np.full(rows, t_r)
     duration[0] = t0
     if tail is not None:

@@ -56,8 +56,9 @@ def require_repelling(k: float) -> None:
 class BookTable:
     """An n-sheeted book of unit disks glued along the boundary circle.
 
-    The gluing permutation is the single cycle (1 2 ... n), applied by
-    next_sheet().
+    The gluing permutation is the single cycle (1 2 ... n). next_sheet() is the only code that
+    applies it: reflect() takes one step, and a run's sheet column steps 0 .. min(n, rows) - 1.
+    n is at most 2^62, so that sheet - 1 + steps, with steps below n, is exact in int64.
     """
 
     k: float
@@ -67,11 +68,14 @@ class BookTable:
         require_repelling(self.k)
         if not (is_integer(self.sheets) and self.sheets >= 1):
             raise ValidationError(f"n must be an integer >= 1, got {self.sheets!r}")
+        if self.sheets > 2**62:
+            raise ValidationError(f"n must be at most 2**62, got {self.sheets!r}")
 
-    def next_sheet(self, sheet: int) -> int:
+    def next_sheet(self, sheet: int, steps=1):
+        """The sheet ``steps`` reflections on from ``sheet``; an int array of steps gives one each."""
         if not (is_integer(sheet) and 1 <= sheet <= self.sheets):
             raise ValidationError(f"sheet must be in 1..{self.sheets}, got {sheet!r}")
-        return sheet % self.sheets + 1
+        return (sheet - 1 + steps) % self.sheets + 1
 
 
 @dataclass(frozen=True, slots=True)

@@ -161,11 +161,9 @@ def _gate(xp, table: BookTable, h, f, what="value", error=ValidationError):
 
 
 def boundary_state(table: BookTable, h: float, f: float) -> PhaseState:
-    """A phase state at (1, 0) moving inward with momentum value (h, f)."""
-    vr2 = 2.0 * h - table.k - f * f
-    if vr2 <= 0.0:
-        raise ValidationError(f"({h}, {f}) admits no inward boundary state")
-    return PhaseState(1, 1.0, 0.0, -math.sqrt(vr2), f)
+    """A phase state at (1, 0) moving inward with momentum value (h, f), refused by _gate()."""
+    _gate(_FLOATS, table, h, f)
+    return PhaseState(1, 1.0, 0.0, -math.sqrt(2.0 * h - table.k - f * f), f)
 
 
 def radial_period_simulated(table: BookTable, h: float, f: float) -> PeriodSample:
@@ -174,9 +172,8 @@ def radial_period_simulated(table: BookTable, h: float, f: float) -> PeriodSampl
     Independent of the closed forms: the period is the first-return time to
     the wall from time_to_boundary(), the advance is the signed angle between
     the arc's endpoints. One arc advances by |dphi| <= pi with the sign of f, which
-    makes that angle unambiguous. _gate() refuses a value as for the closed forms.
+    makes that angle unambiguous. boundary_state() refuses a value as the closed forms do.
     """
-    _gate(_FLOATS, table, h, f)
     a = boundary_state(table, h, f)
     t_r = time_to_boundary(a, table.k)
     b = flow_free(a, t_r, table.k)
@@ -274,12 +271,12 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
         periods = _period_columns(table, *mids, "bisection midpoint", ConvergenceError)
         block = np.insert(block, gaps + 1, np.vstack((mids, *periods)), axis=1)
 
+    # the last sample is loop[0] again, so dphi gains whole turns, and m is n times their count,
+    # in integers; m is as trustworthy as the largest step is clear of the unwrapping limit
     n = table.sheets
+    m = int(n) * round((unwrapped[-1] - unwrapped[0]) / (2.0 * math.pi))
     unwrapped = (n * unwrapped).tolist()
-    # the last sample is loop[0] again, so delta is a whole multiple of 2*pi;
-    # m is as trustworthy as the largest step is clear of the unwrapping limit
     delta = unwrapped[-1] - unwrapped[0]
-    m = round(delta / (2.0 * math.pi))
     # h > 0 gluing matrix [[1, m], [0, -1]]: r = alpha/beta mod 1 = 1/m mod 1
     return MonodromyReport(
         loop=tuple(loop),

@@ -150,6 +150,13 @@ class TestSimulate:
         assert meta["n"] == 2
         assert columns["segment"][-1] == 4
 
+    def test_huge_sheet_count_costs_what_the_rows_cost(self, tmp_path):
+        n = 10**12
+        assert run(tmp_path, "simulate", "-n", str(n), "--seed", "1", "--reflections", "3") == 0
+        meta, columns = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+        assert meta["n"] == n
+        assert np.unique(columns["sheet"]).tolist() == [1, 2, 3]
+
     def test_config_file_sets_store_true_flags(self, tmp_path, capsys):
         def config(**doc):
             path = tmp_path / "config.json"
@@ -292,6 +299,11 @@ class TestMonodromy:
         assert columns["arc_index"][0] == 0
         span = columns["theta_unwrapped"][-1] - columns["theta_unwrapped"][0]
         assert span == pytest.approx(3 * 2 * math.pi, abs=1e-9)
+
+    def test_huge_sheet_count_is_measured_exactly(self, tmp_path):
+        assert run(tmp_path, "monodromy", "-n", "1000000000000000000") == 0
+        doc = json.loads((tmp_path / "monodromy.json").read_text())
+        assert doc["m"] == 10**18 and doc["labels"]["r_hpos"] == "1/1000000000000000000"
 
     def test_coarse_loop_measures_the_sheet_count(self, tmp_path):
         assert run(tmp_path, "monodromy", "-k", "-1", "-n", "3", "--points-per-arc", "2") == 0
@@ -511,6 +523,30 @@ def test_each_option_resolves_flag_then_file_then_builtin(tmp_path, capsys, monk
         assert resolved(dest, {name: file if file != flag else False}, *flag_argv) == flag
 
 
+@pytest.mark.parametrize(
+    "command, doc, argv, path",
+    [
+        ("eigen", {"k": -4}, ["-k", "-4"], "spectrum.json"),
+        ("monodromy", {"k": -4, "f-max": 3}, ["-k", "-4", "--f-max", "3"], "monodromy.json"),
+    ],
+    ids=["eigen", "monodromy"],
+)
+def test_config_int_for_a_float_option_is_a_float(tmp_path, monkeypatch, command, doc, argv, path):
+    # the file's -4 writes the bytes that the flag's -4 writes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["--config", str(config), "--out-dir", str(tmp_path / "file"), command]) == 0
+    assert main(["--out-dir", str(tmp_path / "flag"), command, *argv]) == 0
+    text = (tmp_path / "file" / path).read_text()
+    assert '"k": -4.0,' in text and text == (tmp_path / "flag" / path).read_text()
+    # and each entry of a list, while an int option keeps its int
+    seen = {}
+    monkeypatch.setitem(cli._COMMANDS, "simulate", lambda args, out: seen.update(vars(args)))
+    config.write_text(json.dumps({"initial": [0, 0, 1, 0], "sheet": 1}))
+    assert main(["--config", str(config), "--out-dir", str(tmp_path / "file"), "simulate"]) == 0
+    assert [type(v) for v in seen["initial"]] == [float] * 4 and type(seen["sheet"]) is int
+
+
 NON_FINITE_FLAGS = {
     "rotation-h": ["rotation", "--h", "nan", "--f", "0.5"],
     "classify-h": ["classify", "--h", "nan", "--f", "0.2"],
@@ -526,6 +562,7 @@ NON_FINITE_CONFIGS = {
     "eigen-lam": ({"lam": math.nan}, ["eigen"]),
     "simulate-time": ({"time": math.inf, "seed": 1}, ["simulate"]),
     "simulate-initial": ({"initial": [math.nan, 0, 0.1, 0.2], "reflections": 3}, ["simulate"]),
+    "eigen-k-past-the-float-range": ({"k": -(10**400)}, ["eigen"]),
 }
 
 
@@ -536,6 +573,17 @@ def test_non_finite_flag_exits_2(tmp_path, capsys, name):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "invalid finite float value" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("token", ["abc", "-1e"])
+def test_malformed_float_flag_exits_2(tmp_path, capsys, token):
+    # -1e is no number, so argparse reads it as an option and --h as missing its value
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "classify", "--h", token, "--f", "0.2")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --h: " in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -582,6 +630,8 @@ REFUSED = {
     "simulate-seed-negative": (["simulate", "--seed", "-1", "--reflections", "3"],
                                "--seed must be non-negative"),
     "classify-without-value-or-grid": (["classify", "-k", "-1"], "--h and --f"),
+    "rotation-n-past-2**62": (["rotation", "-n", str(2**62 + 1), "--h", "0.375", "--f", "0.5"],
+                              f"n must be at most 2**62, got {2**62 + 1}"),
 }
 
 

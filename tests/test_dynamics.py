@@ -166,6 +166,10 @@ class TestFlowFree:
         with pytest.raises(ValidationError):
             flow_free(PhaseState(1, 0.1, 0.0, 0.0, 0.0), -1e-9, K)
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValidationError, match="^propagation time t must be nonnegative, got nan"):
+            flow_free(PhaseState(1, 0.1, 0.0, 0.0, 0.0), math.nan, K)
+
     @pytest.mark.parametrize("t", [800.0, math.inf])
     def test_time_past_the_float_range_rejected(self, t):
         # exp(w t) is past the float range for w t above ln(max float), about 709.78
@@ -195,6 +199,12 @@ class TestTimeToBoundary:
 
     def test_rest_at_origin_never_reaches_the_wall(self):
         assert time_to_boundary(PhaseState(1, 0.0, 0.0, 0.0, 0.0), K) == math.inf
+
+    def test_state_outside_the_disk_rejected(self):
+        # within BOUNDARY_TOL outside the wall counts as on it
+        assert time_to_boundary(PhaseState(1, 1.0 + 1e-10, 0.0, 1.0, 0.0), K) == 0.0
+        with pytest.raises(ValidationError, match="^state lies outside the closed unit disk$"):
+            time_to_boundary(PhaseState(1, 1.0 + 1e-8, 0.0, -1.0, 0.0), K)
 
     def test_stable_manifold_detected(self):
         # v = -omega * r flows into the equilibrium, never reaching the wall
@@ -350,6 +360,10 @@ class TestSimulate:
         for sheet in (0, 4):
             with pytest.raises(ValidationError, match="sheet"):
                 simulate(table, PhaseState(sheet, 0.5, 0.0, 0.0, 1.0), max_reflections=1)
+
+    def test_start_outside_the_disk_rejected(self):
+        with pytest.raises(ValidationError, match="^initial state must lie in the closed unit disk$"):
+            simulate(TABLE, PhaseState(1, 0.8, 0.7, 0.0, 0.1), max_reflections=1)
 
     def test_rest_state_at_origin_stops_at_once(self):
         # the equilibrium lies on its own stable manifold
@@ -589,6 +603,30 @@ class TestBounceMap:
             tracemalloc.stop()
         columns = sum(getattr(traj, column).nbytes for column in Trajectory._COLUMNS)
         assert peak <= 1.1 * columns
+
+    def test_every_sheet_comes_from_next_sheet(self, monkeypatch):
+        # a gluing that skips a sheet reaches every row, past the first full arc too
+        table, start = BookTable(k=K, sheets=5), PhaseState(1, 0.3, 0.1, 0.4, -0.7)
+        assert simulate(table, start, max_reflections=8).sheet.tolist() == [1, 2, 3, 4, 5, 1, 2, 3]
+        glue = BookTable.next_sheet
+
+        def skipping(self, sheet, steps=1):
+            return glue(self, sheet, 2 * steps)
+
+        monkeypatch.setattr(BookTable, "next_sheet", skipping)
+        assert simulate(table, start, max_reflections=8).sheet.tolist() == [1, 3, 5, 2, 4, 1, 3, 5]
+
+    def test_memory_does_not_grow_with_the_sheet_count(self):
+        n = 10**12
+        tracemalloc.start()
+        try:
+            table, start = BookTable(k=K, sheets=n), PhaseState(n, 0.3, 0.1, 0.4, -0.7)
+            traj = simulate(table, start, max_reflections=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.sheet.tolist() == [n, 1, 2]
+        assert peak < 64_000
 
     def test_sequence_protocol(self):
         table = BookTable(k=K, sheets=3)

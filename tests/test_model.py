@@ -127,10 +127,24 @@ def test_permutation_is_an_n_cycle(n, start):
     if start > n:
         start = 1 + (start - 1) % n
     table = BookTable(k=-1.0, sheets=n)
-    sheet = start
+    sheets = [start]
     for _ in range(n):
-        sheet = table.next_sheet(sheet)
-    assert sheet == start
+        sheets.append(table.next_sheet(sheets[-1]))
+    assert sheets[-1] == start
+    # an array of step counts gives the sheet after each, as that many single steps do
+    assert table.next_sheet(start, np.arange(n)).tolist() == sheets[:-1]
+
+
+def test_largest_book_glues_exactly():
+    # up to n = 2^62, sheet - 1 + steps with steps below n is exact in the int64 sheet column
+    n = 2**62
+    table = BookTable(k=-1.0, sheets=n)
+    assert table.next_sheet(n - 1, np.arange(4)).tolist() == [n - 1, n, 1, 2]
+    traj = simulate(table, PhaseState(n, 0.3, 0.1, 0.4, -0.7), max_reflections=4)
+    assert traj.sheet.tolist() == [n, 1, 2, 3]
+    for past in (n + 1, 2**63 - 1, 10**20):
+        with pytest.raises(ValidationError, match=rf"^n must be at most 2\*\*62, got {past}$"):
+            BookTable(k=-1.0, sheets=past)
 
 
 def test_table_is_immutable_value():

@@ -204,6 +204,24 @@ class TestRadialPeriodSimulated:
                 expected = (h, f, arc.duration[0], dphi, 3 * dphi)
                 assert [v.hex() for v in got] == [float(v).hex() for v in expected]
 
+    @pytest.mark.parametrize(
+        "h, f, reason",
+        [
+            (0.0, 0.0, "is not a regular value (fiber: pinched-torus)"),
+            (-0.5 + 1e-10, 0.0, "is not a regular value (fiber: atom-A-circle)"),
+            (-1.0, 0.5, "is not a regular value (fiber: outside-image)"),
+            (math.nan, 0.5, "is not finite"),
+        ],
+        ids=["singular-value", "parabola-band", "outside-image", "nan"],
+    )
+    def test_boundary_state_is_refused_by_the_period_gate(self, h, f, reason):
+        # the singular value and the parabola's SIGMA_TOL band have an inward boundary state,
+        # but no period: they are refused as radial_period_quadrature refuses them
+        message = rf"^value {re.escape(f'({h}, {f}) {reason}')}$"
+        for call in (boundary_state, radial_period_simulated, radial_period_quadrature):
+            with pytest.raises(ValidationError, match=message):
+                call(BookTable(k=K, sheets=3), h, f)
+
 
 class TestClosedForms:
     def test_match_integral_oracle_on_random_regular_values(self):
@@ -320,6 +338,11 @@ class TestLoopAroundOrigin:
         with pytest.raises(ValidationError):
             loop_around_origin(table, c=1.5)
 
+    @pytest.mark.parametrize("f_max", [0.0, -0.8])
+    def test_non_positive_f_max_rejected(self, f_max):
+        with pytest.raises(ValidationError, match="^f_max must be positive$"):
+            loop_around_origin(BookTable(k=K, sheets=1), f_max=f_max)
+
     def test_corner_whose_period_rounds_away_is_named(self):
         with pytest.raises(ValidationError, match=r"^loop corner \(1e\+16, 100000000\.0\) "):
             loop_around_origin(BookTable(k=K, sheets=2), f_max=1e8)
@@ -352,6 +375,20 @@ class TestContinueTheta:
         report = continue_theta(table, loop_around_origin(table, c=0.5))
         assert report.m == 1
         assert report.monodromy_matrix == ((1, 0), (1, 1))
+
+    @pytest.mark.parametrize("n", [10**18, 4 * 10**18, 2**62])
+    def test_m_is_exact_at_any_sheet_count(self, n):
+        # m is n times the whole turns of dphi, in integers: as floats n * dphi loses them
+        table = BookTable(k=K, sheets=n)
+        report = continue_theta(table, loop_around_origin(table))
+        assert report.m == n and type(report.m) is int
+        assert report.labels.r_hpos == Fraction(1, n)
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_fewer_than_three_waypoints_rejected(self, count):
+        loop = loop_around_origin(BookTable(k=K, sheets=1))[:count]
+        with pytest.raises(ValidationError, match="^loop needs at least 3 waypoints$"):
+            continue_theta(BookTable(k=K, sheets=1), loop)
 
     def test_two_sheets(self):
         # the count is rounded up to even, so both counts sample f = 0 once on the arc, at
