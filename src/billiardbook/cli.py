@@ -21,7 +21,9 @@ import numpy as np
 from . import io
 from .dynamics import simulate
 from .linearization import pencil_eigenvalues
-from .model import BookTable, ConvergenceError, PhaseState, ValidationError, require_fits
+from .model import (
+    BookTable, ConvergenceError, PhaseState, ValidationError, require_count, require_fits,
+)
 from .momentum import bifurcation_diagram, classify_fiber, in_image, inner_radius, momentum_map
 from .monodromy import (
     continue_theta,
@@ -189,6 +191,9 @@ def _cmd_simulate(args, out: Path) -> None:
         initial = [r * math.cos(ang), r * math.sin(ang), vx, vy]
     state = PhaseState(args.sheet, *map(float, initial))
     trajectory = simulate(table, state, max_reflections=args.reflections, max_time=args.time)
+    if args.svg:  # refused before either file is written
+        segments = len(trajectory)
+        require_fits(io.ORBIT_SEGMENT_BYTES * segments, "an orbit figure of %d segments", segments)
     io.write_trajectory_csv(out / "trajectory.csv", table, trajectory, args.samples_per_segment)
     print(out / "trajectory.csv")
     if args.svg:
@@ -217,9 +222,8 @@ def _cmd_classify(args, out: Path) -> None:
     table = _table(args)
     if args.grid:
         resolution = args.resolution
-        if resolution < 2:
-            raise ValidationError("resolution must be >= 2")
-        require_fits(2 * 8 * resolution**2, "resolution=%r", resolution)  # h and f of each cell
+        require_count(resolution, "resolution", 2)
+        require_fits(56 * resolution**2, "resolution=%r", resolution)  # the writer's 7 words a cell
         h = np.linspace(args.h_min, args.h_max, resolution)
         f = np.linspace(args.f_min, args.f_max, resolution)
         io.write_classification_csv(out / "classification.csv", table, h, f)
@@ -278,17 +282,17 @@ def _cmd_plot(args, out: Path) -> None:
         columns = {name: columns[name] for name in ("segment", "sheet", "x", "y", "h", "f")}
     except (OSError, ValueError, KeyError) as exc:  # KeyError: no k, n or column of that name
         raise ValidationError(f"cannot read --trajectory {args.trajectory}: {exc}") from None
-    polylines, inner = [], None
+    sheets, points, inner = (), (), None
     if len(columns["segment"]):
         # one polyline per segment, through the sampled CSV rows themselves
         firsts = np.flatnonzero(np.diff(columns["segment"])) + 1
-        xy = np.split(np.column_stack((columns["x"], columns["y"])), firsts)
-        polylines = list(zip(columns["sheet"][np.r_[0, firsts]].tolist(), xy))
+        sheets = columns["sheet"][np.r_[0, firsts]]
+        points = np.split(np.column_stack((columns["x"], columns["y"])), firsts)
         h, f = float(columns["h"][0]), float(columns["f"][0])
         inner = inner_radius(h, f, table.k) if in_image(h, f, table.k) else None
     output = args.output or out / "orbit.svg"
     try:
-        io.write_polylines_svg(output, polylines, inner=inner)
+        io.write_polylines_svg(output, sheets, points, inner=inner)
     except ValidationError as exc:  # a path that cannot take the file
         raise ValidationError(f"--output: {exc}") from None
     print(output)

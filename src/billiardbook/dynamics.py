@@ -42,7 +42,7 @@ import numpy as np
 
 from .model import (
     BOUNDARY_TOL, GRAZING_TOL, BookTable, ConvergenceError, PhaseState, ValidationError,
-    is_integer, require_fits, require_repelling,
+    require_count, require_fits, require_repelling,
 )
 from .momentum import h_and_f, momentum_map
 
@@ -407,8 +407,8 @@ def simulate(
     """
     if max_reflections is None and max_time is None:
         raise ValidationError("a stop condition (max_reflections or max_time) is required")
-    if max_reflections is not None and not (is_integer(max_reflections) and max_reflections >= 0):
-        raise ValidationError(f"max_reflections must be an integer >= 0, got {max_reflections!r}")
+    if max_reflections is not None:
+        require_count(max_reflections, "max_reflections", 0)
     # 0 < nan is false, and an int is compared exactly: float() overflows past the float range
     huge = isinstance(max_time, int) and max_time > sys.float_info.max
     if max_time is not None and (huge or not 0 < max_time < math.inf):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import _CHUNK, Trajectory, _sample_trajectory
 from .linearization import PencilSpectrum
-from .model import BookTable, ValidationError, is_integer, require_fits
+from .model import BookTable, ValidationError, require_count, require_fits
 from .momentum import FIBER_TAGS, BifurcationDiagram, FiberTag, classify_grid, h_and_f
 from .monodromy import MonodromyReport
 
@@ -90,8 +90,7 @@ def write_trajectory_csv(
     as ints, then t, x, y, vx, vy, h and f to 17 digits, ending in ``\\r\\n``.
     """
     k, count = table.k, samples_per_segment
-    if not (is_integer(count) and count >= 1):
-        raise ValidationError(f"samples_per_segment must be an integer >= 1, got {count!r}")
+    require_count(count, "samples_per_segment", 1)
     chunk_rows = min(len(trajectory), _CHUNK) * (int(count) + 1)  # 9 floats a row
     require_fits(9 * 8 * chunk_rows, "samples_per_segment=%r", count)
     line = "%d,%d" + ",%.17g" * 7 + "\r\n"
@@ -217,12 +216,13 @@ def write_json(path: str | Path, doc: dict) -> None:
 _SVG_SIZE = 560
 #: samples per segment along each orbit polyline of write_orbit_svg()
 _ORBIT_SAMPLES = 48
+#: bytes write_orbit_svg() holds a segment: the (x, y) float points of its polyline
+ORBIT_SEGMENT_BYTES = 2 * 8 * (_ORBIT_SAMPLES + 1)
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
 def _polyline(xy, color: str, width: float) -> str:
     """An SVG polyline through (x, y) points, y flipped, with 6 decimals."""
-    xy = np.asarray(xy, dtype=float)
     flipped = np.column_stack((xy[:, 0], -xy[:, 1])).ravel().tolist()
     pts = " ".join(["%.6f,%.6f"] * len(xy)) % tuple(flipped)
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width:g}"/>'
@@ -237,47 +237,39 @@ def _svg_open(x0: float, y0: float, width: float, height: float) -> list[str]:
 
 
 def write_orbit_svg(
-    path: str | Path,
-    table: BookTable,
-    trajectory: Trajectory,
-    inner: float | None = None,
+    path: str | Path, table: BookTable, trajectory: Trajectory, inner: float | None = None
 ) -> None:
-    """Unit circle, the inner circle r0, and one orbit polyline per segment."""
-    sheets = trajectory.sheet.tolist()
-    polylines = []
+    """Unit circle, the inner circle r0, and one orbit polyline per segment.
+
+    Each polyline runs through _ORBIT_SAMPLES + 1 equally spaced states of its segment, whose
+    (x, y) fill one block first: ORBIT_SEGMENT_BYTES a segment.
+    """
+    points = np.empty((len(trajectory), _ORBIT_SAMPLES + 1, 2))
     for lo, _, states in _sample_trajectory(trajectory, table.k, _ORBIT_SAMPLES):
-        polylines += zip(sheets[lo : lo + len(states)], states[..., :2])
-    write_polylines_svg(path, polylines, inner=inner)
+        points[lo : lo + len(states)] = states[..., :2]
+    write_polylines_svg(path, trajectory.sheet, points, inner=inner)
 
 
-def write_polylines_svg(
-    path: str | Path,
-    polylines: list[tuple[int, np.ndarray | list[tuple[float, float]]]],
-    inner: float | None = None,
-) -> None:
-    """Unit circle, the inner circle r0, and (sheet, points) polylines by sheet.
+def write_polylines_svg(path: str | Path, sheets, points, inner: float | None = None) -> None:
+    """Unit circle, the inner circle r0, and polyline i through the (m, 2) floats ``points[i]``.
 
-    Polylines are drawn grouped by sheet, one color per sheet. The y axis is
-    flipped so the figure uses the usual mathematical orientation.
+    Polyline i lies on sheet ``sheets[i]``. The polylines are drawn grouped by sheet, in order
+    within a sheet, one color per sheet, and each is written as soon as it is formatted. The
+    y axis is flipped so the figure uses the usual mathematical orientation.
     """
     lines = _svg_open(-1.15, -1.15, 2.3, 2.3)
-    lines.append(
-        '<circle cx="0" cy="0" r="1" fill="none" stroke="#000000" stroke-width="0.01"/>'
-    )
+    lines.append('<circle cx="0" cy="0" r="1" fill="none" stroke="#000000" stroke-width="0.01"/>')
     if inner is not None and inner > 0.0:
         lines.append(
             f'<circle cx="0" cy="0" r="{inner:.6f}" fill="none" stroke="#888888" '
             'stroke-width="0.005" stroke-dasharray="0.03,0.03"/>'
         )
-    per_sheet: dict[int, list] = {}
-    for sheet, points in polylines:
-        per_sheet.setdefault(sheet, []).append(points)
-    for sheet in sorted(per_sheet):
-        color = _PALETTE[(sheet - 1) % len(_PALETTE)]
-        lines += [_polyline(points, color, 0.006) for points in per_sheet[sheet]]
-    lines.append("</svg>")
     with _create(path) as fh:
         fh.write("\n".join(lines) + "\n")
+        for i in np.argsort(sheets, kind="stable"):
+            color = _PALETTE[(sheets[i] - 1) % len(_PALETTE)]
+            fh.write(_polyline(points[i], color, 0.006) + "\n")
+        fh.write("</svg>\n")
 
 
 def write_diagram_svg(path: str | Path, diagram: BifurcationDiagram) -> None:

@@ -46,6 +46,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def require_count(count, name: str, least: int) -> None:
+    """Refuse a ``count`` that is not an integer (is_integer) of at least ``least``, naming it."""
+    if not (is_integer(count) and count >= least):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {count!r}")
+
+
 def require_repelling(k: float) -> None:
     """Refuse a Hooke coefficient k that is not finite and negative."""
     if not -math.inf < k < 0:
@@ -66,8 +72,7 @@ class BookTable:
 
     def __post_init__(self) -> None:
         require_repelling(self.k)
-        if not (is_integer(self.sheets) and self.sheets >= 1):
-            raise ValidationError(f"n must be an integer >= 1, got {self.sheets!r}")
+        require_count(self.sheets, "n", 1)
         if self.sheets > 2**62:
             raise ValidationError(f"n must be at most 2**62, got {self.sheets!r}")
 

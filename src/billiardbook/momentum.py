@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import (
-    SIGMA_TOL, BookTable, MomentumValue, PhaseState, ValidationError, is_integer, require_fits,
+    SIGMA_TOL, BookTable, MomentumValue, PhaseState, ValidationError, require_count, require_fits,
     require_repelling,
 )
 
@@ -154,8 +154,7 @@ def bifurcation_diagram(
 ) -> BifurcationDiagram:
     """Sample the bifurcation diagram over an f-range."""
     require_repelling(k)
-    if not (is_integer(resolution) and resolution >= 2):
-        raise ValidationError(f"resolution must be an integer >= 2, got {resolution!r}")
+    require_count(resolution, "resolution", 2)
     if f_min == f_max:
         raise ValidationError(f"f_min and f_max must differ, both are {f_min!r}")
     require_fits(2 * 8 * int(resolution), "resolution=%r", resolution)  # the f and h columns

@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .dynamics import flow_free, time_to_boundary
-from .model import BookTable, ConvergenceError, PhaseState, ValidationError, is_integer, require_fits
+from .model import BookTable, ConvergenceError, PhaseState, ValidationError, require_count, require_fits
 from .momentum import _FLOATS, _fiber_tests, _require_number, _root_and_rho0, classify_fiber
 
 #: unwrapping is unambiguous only if dphi steps stay below this
@@ -204,8 +204,7 @@ def loop_around_origin(
             f"loop does not enclose (0, 0): need f_max > c*sqrt(-k) = {c * math.sqrt(-k):g}"
         )
     _gate(_FLOATS, table, h_right, f_max, "loop corner")
-    if not (is_integer(points_per_arc) and points_per_arc >= 2):
-        raise ValidationError(f"points_per_arc must be an integer >= 2, got {points_per_arc!r}")
+    require_count(points_per_arc, "points_per_arc", 2)
     require_fits(32 * int(points_per_arc), "points_per_arc=%r", points_per_arc)  # h, f a waypoint
 
     # parabola arc traversed with f increasing: in the (f, h) plane the arc

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import billiardbook
-from billiardbook import BookTable, classify_fiber, cli, io
+from billiardbook import BookTable, classify_fiber, cli, io, model
 from billiardbook.cli import main
 
 
@@ -124,6 +124,20 @@ class TestSimulate:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_figure_beyond_memory_exits_2_before_either_file(self, tmp_path, capsys, monkeypatch):
+        # the figure holds 49 (x, y) points a segment; the run and its CSV count fewer bytes
+        argv = ["simulate", "--seed", "1", "--reflections", "100", "--samples-per-segment", "1",
+                "--svg"]
+        figure = 16 * 49 * 100
+        monkeypatch.setattr(model, "MEMORY_BYTES", figure - 1)
+        assert run(tmp_path, *argv) == 2
+        message = f"an orbit figure of 100 segments would take {figure} bytes; physical memory is "
+        assert capsys.readouterr() == ("", f"error: {message}{figure - 1}\n")
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(model, "MEMORY_BYTES", figure)
+        assert run(tmp_path, *argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["orbit.svg", "trajectory.csv"]
+
     def test_invalid_k_exits_2(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "-k", "1", "--reflections", "5")
         assert code == 2
@@ -229,7 +243,17 @@ class TestClassify:
     def test_grid_resolution_below_2_exits_2(self, tmp_path, capsys):
         code = run(tmp_path, "classify", "-k", "-1", "--grid", "--resolution", "-1")
         assert code == 2
-        assert capsys.readouterr().err == "error: resolution must be >= 2\n"
+        assert capsys.readouterr().err == "error: resolution must be an integer >= 2, got -1\n"
+
+    def test_grid_counts_the_bytes_its_writer_holds(self, tmp_path, capsys, monkeypatch):
+        # codes, labels, h, f and the three stacked columns: 56 bytes a cell
+        cells = 56 * 21 * 21
+        monkeypatch.setattr(model, "MEMORY_BYTES", cells - 1)
+        assert run(tmp_path, "classify", "--grid", "--resolution", "21") == 2
+        message = f"error: resolution=21 would take {cells} bytes; physical memory is {cells - 1}\n"
+        assert capsys.readouterr().err == message and list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(model, "MEMORY_BYTES", cells)
+        assert run(tmp_path, "classify", "--grid", "--resolution", "21") == 0
 
     @pytest.mark.parametrize("resolution", [7, 201])
     def test_grid_csv_matches_the_per_value_rule(self, tmp_path, resolution):
@@ -369,6 +393,25 @@ class TestPlot:
         points = re.findall(r'<polyline points="([^"]*)"', (tmp_path / "orbit.svg").read_text())
         radii = [math.hypot(*map(float, p.split(","))) for line in points for p in line.split()]
         assert radii and max(radii) <= 1.0 + 1e-5
+
+    def test_polylines_run_through_the_rows_by_sheet_then_segment(self, tmp_path):
+        # sheets 1, 2, 3, 1, 2, 3, 1: the figure draws segments 0, 3, 6, then 1, 4, then 2, 5
+        assert run(tmp_path, "simulate", "-n", "3", "--seed", "1", "--reflections", "7",
+                   "--samples-per-segment", "3") == 0
+        assert run(tmp_path, "plot", "--trajectory", str(tmp_path / "trajectory.csv")) == 0
+        _, rows = io.read_csv(tmp_path / "trajectory.csv")
+        drawn = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="([^"]*)"',
+                           (tmp_path / "orbit.svg").read_text())
+        expected = []
+        for sheet in (1, 2, 3):
+            for segment in range(7):
+                at = (rows["segment"] == segment) & (rows["sheet"] == sheet)
+                if at.any():
+                    xy = zip(rows["x"][at], rows["y"][at])
+                    points = " ".join(f"{x:.6f},{-y:.6f}" for x, y in xy)
+                    expected.append((points, io._PALETTE[sheet - 1]))
+        assert rows["sheet"][::4].tolist() == [1, 2, 3, 1, 2, 3, 1]
+        assert len(expected) == 7 and drawn == expected
 
     def test_start_on_the_parabola_draws_its_inner_circle(self, tmp_path):
         # this wall start's h - (f^2 + k)/2 rounds to -5.6e-17: classify_fiber calls it an
@@ -632,6 +675,20 @@ REFUSED = {
     "classify-without-value-or-grid": (["classify", "-k", "-1"], "--h and --f"),
     "rotation-n-past-2**62": (["rotation", "-n", str(2**62 + 1), "--h", "0.375", "--f", "0.5"],
                               f"n must be at most 2**62, got {2**62 + 1}"),
+    # each count one below its least, in the library's words (test_model.py's one count rule)
+    "count-n": (["classify", "-n", "0", "--h", "0", "--f", "0"],
+                "n must be an integer >= 1, got 0"),
+    "count-max-reflections": (["simulate", "--seed", "1", "--reflections", "-1"],
+                              "max_reflections must be an integer >= 0, got -1"),
+    "count-points-per-arc": (["monodromy", "--points-per-arc", "1"],
+                             "points_per_arc must be an integer >= 2, got 1"),
+    "count-samples-per-segment": (["simulate", "--seed", "1", "--reflections", "3",
+                                   "--samples-per-segment", "0"],
+                                  "samples_per_segment must be an integer >= 1, got 0"),
+    "count-diagram-resolution": (["diagram", "--resolution", "1"],
+                                 "resolution must be an integer >= 2, got 1"),
+    "count-grid-resolution": (["classify", "--grid", "--resolution", "1"],
+                              "resolution must be an integer >= 2, got 1"),
 }
 
 

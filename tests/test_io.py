@@ -265,6 +265,23 @@ def test_writer_temporaries_stay_near_the_counted_bytes(tmp_path, monkeypatch, c
     assert len(counted) == 1 and peak <= 5 * counted[0]
 
 
+def test_orbit_figure_holds_its_points_block(tmp_path, monkeypatch):
+    # the figure of a 40 000-segment run holds its (x, y) points, the bytes the CLI counts for
+    # it, and each polyline only while it is written. Formatting 3.9 million floats under
+    # tracemalloc takes seconds, so a new string of a polyline's length stands in for each.
+    table = BookTable(k=-1.0, sheets=3)
+    traj = simulate(table, PhaseState(1, 0.3, 0.1, 0.5, 0.7), max_reflections=40_000)
+    monkeypatch.setattr(io, "_polyline", lambda xy, color, width: " " * (20 * len(xy)))
+    tracemalloc.start()
+    try:
+        io.write_orbit_svg(tmp_path / "orbit.svg", table, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 40_000 and (tmp_path / "orbit.svg").stat().st_size > 980 * 40_000
+    assert peak <= 1600 * 40_000 and peak <= 5 * io.ORBIT_SEGMENT_BYTES * 40_000
+
+
 def writers(table, traj):
     """Each writer of this module, as a call on one path."""
     diagram = bifurcation_diagram(-1.0, resolution=5)
