@@ -14,17 +14,21 @@ conservation of ``H = -2 w^2 a.b`` and ``F = -2 w a x b`` a test oracle
 instead of an error source. Each formula is one function of plain arithmetic:
 one state as floats (with math's exp, cos, sin and sqrt, as a numpy call costs
 more than the work) and numpy columns of states get the same bits from it.
+The bounce map's block kernel is apart, as floats take no ``out=``: it writes
+the turn and the reflection into a run's columns in place, by the same
+operations in the same order, and tests pin it to _rotated() and reflect()
+bit for bit.
 
 The flow and the wall are invariant under rotation, and (H, F) fixes a
 wall-to-wall arc up to rotation, so after the first wall hit every arc is the
 previous one turned by the same angle ``dphi`` and lasting the same ``T_r``.
 ``simulate`` solves two arcs and emits hit j as the first hit rotated by
-``j * dphi``, in blocks of ``_CHUNK`` hits. The cosines and sines of
-``i * dphi``, ``i < _CHUNK``, are taken once per run, as one table: block
+``j * dphi``, in blocks of ``_BLOCK`` hits. The cosines and sines of
+``i * dphi``, ``i < _BLOCK``, are taken once per run, as one table: block
 ``lo`` turns the first hit by ``lo * dphi`` and then by that table, so a run
-of at most ``_CHUNK`` hits turns the first hit once per row. Each hit is
-two turns from the first, never computed from the one before, so rounding
-error does not grow with the number of reflections.
+of at most ``_BLOCK`` hits turns the first hit once per row. Each hit is at
+most two turns from the first, never computed from the one before, so
+rounding error does not grow with the number of reflections.
 
 Each test is made in the w = 1 frame of model.py: a wall hit grazes when |v.n|/w < GRAZING_TOL,
 and a start is on the boundary critical orbit when its orbit's (v.n/w)^2 at the wall,
@@ -46,9 +50,12 @@ from .model import (
 )
 from .momentum import h_and_f, momentum_map
 
-#: rows per numpy pass of _bounce_map(), of _sample_trajectory() and of
-#: iteration over a Trajectory, which bounds the temporaries a long run needs
+#: rows per numpy pass of _sample_trajectory() and of iteration over a
+#: Trajectory, which bounds the temporaries a long run needs
 _CHUNK = 2048
+#: hits per block of _bounce_map(), the length of its one table of turns;
+#: a block writes into the run's columns and needs two scratch columns
+_BLOCK = 8192
 #: bytes of one row of a Trajectory's columns: start, end, sheet and duration
 _ROW_BYTES = 4 * 8 + 4 * 8 + 8 + 8
 #: the least normal float, and the largest w t whose exp(w t) is a float
@@ -76,6 +83,7 @@ class Trajectory(Sequence):
 
     Row i of ``start`` and ``end`` is (x, y, vx, vy) at the two ends of
     segment i, ``sheet[i]`` its sheet and ``duration[i]`` its length in time.
+    Both are column-major, so ``start.T[c]`` and ``end.T[c]`` are contiguous.
     The first ``reflections`` segments end at a wall hit followed by a
     reflection; if ``boundary_orbit`` is set, the last segment slides along
     the wall. ``stop_reason`` says why the run ended: ``"reflections"``
@@ -178,14 +186,6 @@ def _rotated(x, y, vx, vy, c, s):
     return c * x - s * y, s * x + c * y, c * vx - s * vy, s * vx + c * vy
 
 
-def _reflected(x, y, vx, vy, r):
-    """v.n at the wall point (x, y) of radius r, and the velocity reflected there."""
-    nx, ny = x / r, y / r
-    vn = vx * nx + vy * ny
-    vn2 = 2.0 * vn
-    return vn, vx - vn2 * nx, vy - vn2 * ny
-
-
 def flow_free(state: PhaseState, t: float, k: float) -> PhaseState:
     """Propagate the in-disk Hooke flow for time t (no wall check)."""
     if not t >= 0:  # NaN too
@@ -244,10 +244,14 @@ def reflect(table: BookTable, state: PhaseState) -> PhaseState:
     r2 = state.r2
     if abs(r2 - 1.0) >= BOUNDARY_TOL:
         raise ValidationError("reflect requires a state on the boundary circle")
-    vn, vx, vy = _reflected(state.x, state.y, state.vx, state.vy, math.sqrt(r2))
+    r = math.sqrt(r2)
+    nx, ny = state.x / r, state.y / r
+    vn = state.vx * nx + state.vy * ny
     if vn < -GRAZING_TOL * math.sqrt(-table.k):
         raise ValidationError("reflect requires a nonnegative outward velocity")
-    return PhaseState(table.next_sheet(state.sheet), state.x, state.y, vx, vy)
+    vn2 = 2.0 * vn
+    return PhaseState(table.next_sheet(state.sheet), state.x, state.y,
+                      state.vx - vn2 * nx, state.vy - vn2 * ny)
 
 
 def sample_segment(segment: TrajectorySegment, k: float, count: int) -> list[PhaseState]:
@@ -306,8 +310,8 @@ def _arcs(arcs: list, reflections: int, stop_reason: str, boundary_orbit=False) 
     (start, duration, end) arcs; each arc lies on its start's sheet."""
     return Trajectory(
         (
-            np.array([(s.x, s.y, s.vx, s.vy) for s, _, _ in arcs], dtype=float).reshape(-1, 4),
-            np.array([(e.x, e.y, e.vx, e.vy) for _, _, e in arcs], dtype=float).reshape(-1, 4),
+            np.array([(s.x, s.y, s.vx, s.vy) for s, _, _ in arcs], float, order="F").reshape(-1, 4),
+            np.array([(e.x, e.y, e.vx, e.vy) for _, _, e in arcs], float, order="F").reshape(-1, 4),
             np.array([s.sheet for s, _, _ in arcs], dtype=int),
             np.array([d for _, d, _ in arcs], dtype=float),
         ),
@@ -352,25 +356,35 @@ def _bounce_map(
     """Columns of ``hits`` wall hits, hit j being ``hit`` rotated by j*dphi,
     plus a max_time tail of duration ``tail`` (None for no tail)."""
     rows = hits + (tail is not None)
-    start, end = np.empty((rows, 4)), np.empty((rows, 4))
+    start, end = np.empty((rows, 4), order="F"), np.empty((rows, 4), order="F")
     start[0] = (initial.x, initial.y, initial.vx, initial.vy)
     row = (hit.x, hit.y, hit.vx, hit.vy)
     # a block at a time, so the temporaries stay small: block lo turns the hit
     # by lo*dphi, then by the table of turns i*dphi that every block shares
-    turns = np.arange(min(hits, _CHUNK)) * dphi
+    turns = np.arange(min(hits, _BLOCK)) * dphi
     cos, sin = np.cos(turns), np.sin(turns)
-    for lo in range(0, hits, _CHUNK):
-        hi = min(lo + _CHUNK, hits)
+    scratch = np.empty((2, len(turns)))
+    for lo in range(0, hits, _BLOCK):
+        hi = min(lo + _BLOCK, hits)
         first = _rotated(*row, math.cos(lo * dphi), math.sin(lo * dphi)) if lo else row
-        x, y, vx, vy = _rotated(*first, cos[: hi - lo], sin[: hi - lo])
-        end[lo:hi].T[:] = x, y, vx, vy
+        c, s, (u, v) = cos[: hi - lo], sin[: hi - lo], scratch[:, : hi - lo]
+        # _rotated() of (x, y) and of (vx, vy), written into the hit columns
+        x, y, vx, vy = end[lo:hi].T
+        for px, py, ox, oy in ((*first[:2], x, y), (*first[2:], vx, vy)):
+            np.subtract(np.multiply(c, px, out=ox), np.multiply(s, py, out=u), out=ox)
+            np.add(np.multiply(s, px, out=oy), np.multiply(c, py, out=u), out=oy)
         # every start after the first is the reflection of the previous hit,
-        # by reflect()'s formula, so it sits exactly where that hit is; the
-        # last hit of a run stopped by max_reflections starts nothing
+        # by reflect()'s operations in its order, so it sits exactly where that
+        # hit is; the last hit of a run stopped by max_reflections starts nothing
         m = min(hi, rows - 1) - lo
-        x, y, vx, vy = x[:m], y[:m], vx[:m], vy[:m]
-        _, vx, vy = _reflected(x, y, vx, vy, np.sqrt(x * x + y * y))
-        start[lo + 1 : lo + 1 + m].T[:] = x, y, vx, vy
+        start[lo + 1 : lo + 1 + m, :2] = end[lo : lo + m, :2]
+        x, y, vx, vy, u, v = x[:m], y[:m], vx[:m], vy[:m], u[:m], v[:m]
+        sx, sy = start[lo + 1 : lo + 1 + m, 2:].T
+        r = np.sqrt(np.add(np.multiply(x, x, out=sx), np.multiply(y, y, out=sy), out=sx), out=sx)
+        nx, ny = np.divide(x, r, out=u), np.divide(y, r, out=v)
+        vn2 = np.multiply(np.add(np.multiply(vx, nx, out=sx), np.multiply(vy, ny, out=sy), out=sx), 2.0, out=sx)
+        np.subtract(vy, np.multiply(vn2, ny, out=sy), out=sy)
+        np.subtract(vx, np.multiply(vn2, nx, out=u), out=sx)
     # row j lies on sheet next_sheet(initial.sheet, j), which repeats after n rows
     cycle = table.next_sheet(initial.sheet, np.arange(min(table.sheets, rows)))
     sheet = np.tile(cycle, -(-rows // len(cycle)))[:rows]

@@ -21,7 +21,7 @@ from billiardbook import (
     simulate,
     time_to_boundary,
 )
-from billiardbook.dynamics import _CHUNK, _hit_count, _rotated
+from billiardbook.dynamics import _BLOCK, _hit_count, _rotated
 from billiardbook.momentum import h_and_f
 
 K = -1.0
@@ -543,9 +543,10 @@ class TestBounceMap:
 
     def test_each_start_is_the_reflection_of_the_previous_hit(self):
         table = BookTable(k=-4.0, sheets=5)
-        traj = simulate(table, PhaseState(2, 0.2, -0.4, 0.9, 0.3), max_reflections=5000)
-        # the hits come _CHUNK at a time: the rows on each side of a block's edge too
-        for j in (1, 2, 3, 1000, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 4999):
+        reflections = 2 * _BLOCK + 904
+        traj = simulate(table, PhaseState(2, 0.2, -0.4, 0.9, 0.3), max_reflections=reflections)
+        # the hits come _BLOCK at a time: the rows on each side of a block's edge too
+        for j in (1, 2, 3, 1000, _BLOCK, _BLOCK + 1, 2 * _BLOCK, reflections - 1):
             # a run's own sheet, a numpy integer, is a sheet
             hit = PhaseState(traj.sheet[j - 1], *traj.end[j - 1].tolist())
             assert reflect(table, hit) == PhaseState(traj.sheet[j], *traj.start[j].tolist())
@@ -555,22 +556,24 @@ class TestBounceMap:
         table, start = BookTable(k=-1.0, sheets=3), PhaseState(2, 0.2, -0.4, 0.9, 0.3)
         head, t_r = simulate(table, start, max_reflections=2).duration
         runs = (
-            simulate(table, start, max_reflections=2 * _CHUNK + 3),
-            simulate(table, start, max_time=head + (2 * _CHUNK + 0.5) * t_r),
+            simulate(table, start, max_reflections=2 * _BLOCK + 3),
+            simulate(table, start, max_time=head + (2 * _BLOCK + 0.5) * t_r),
         )
         assert [(len(t), t.reflections, t.stop_reason) for t in runs] == [
-            (2 * _CHUNK + 3, 2 * _CHUNK + 3, "reflections"),
-            (2 * _CHUNK + 2, 2 * _CHUNK + 1, "time"),
+            (2 * _BLOCK + 3, 2 * _BLOCK + 3, "reflections"),
+            (2 * _BLOCK + 2, 2 * _BLOCK + 1, "time"),
         ]
-        for m in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
+        for m in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
             short = simulate(table, start, max_reflections=m)
             assert all(first_rows(traj, m) == short for traj in runs)
         for traj in runs:
             # each hit is the one before turned by the same angle, across the
-            # block edges too
+            # block edges too: the turns about each edge, as further in, the
+            # rounding of i*dphi in the table of turns grows with i
             hits = traj.end[: traj.reflections, 0] + 1j * traj.end[: traj.reflections, 1]
             turns = hits[1:] * hits[:-1].conj()
-            assert np.abs(turns - turns[0]).max() <= 1e-12
+            edges = (np.arange(_BLOCK, traj.reflections, _BLOCK)[:, None] + np.arange(-3, 3)).ravel()
+            assert np.abs(turns[edges[edges < len(turns)]] - turns[0]).max() <= 1e-12
             # every start after the first sits on the previous hit, bit for bit
             assert (traj.start[1:, :2].view(np.uint64) == traj.end[:-1, :2].view(np.uint64)).all()
 
@@ -578,8 +581,8 @@ class TestBounceMap:
         # a run of one block keeps the bits of one turn of the hit per row
         table, start = BookTable(k=-4.0, sheets=3), PhaseState(2, 0.2, -0.4, 0.9, 0.3)
         hit, dphi = first_hit_and_turn(table, start)
-        traj = simulate(table, start, max_reflections=_CHUNK)
-        expected = turned_hits(hit, dphi, np.arange(_CHUNK))
+        traj = simulate(table, start, max_reflections=_BLOCK)
+        expected = turned_hits(hit, dphi, np.arange(_BLOCK))
         assert (traj.end.view(np.uint64) == expected.view(np.uint64)).all()
 
     def test_block_edges_of_a_long_run_match_one_turn_per_hit(self):
@@ -588,10 +591,20 @@ class TestBounceMap:
         table, start = BookTable(k=-4.0, sheets=3), PhaseState(2, 0.2, -0.4, 0.9, 0.3)
         hit, dphi = first_hit_and_turn(table, start)
         traj = simulate(table, start, max_reflections=1_000_000)
-        lo = np.arange(_CHUNK, 1_000_000, _CHUNK)
+        lo = np.arange(_BLOCK, 1_000_000, _BLOCK)
         j = np.concatenate((lo - 1, lo))
         bound = 64 * np.finfo(float).eps * np.maximum(1.0, j * abs(dphi))
         assert (np.abs(traj.end[j] - turned_hits(hit, dphi, j)) <= bound[:, None]).all()
+
+    def test_each_column_is_contiguous(self):
+        # x, y, vx and vy are each one column in memory, in a run of the bounce
+        # map and in one that stops within its first full arc
+        table, start = BookTable(k=-1.0, sheets=3), PhaseState(2, 0.2, -0.4, 0.9, 0.3)
+        head, t_r = simulate(table, start, max_reflections=2).duration
+        runs = simulate(table, start, max_reflections=50), simulate(table, start, max_time=head + t_r / 2)
+        assert [(len(t), t.stop_reason) for t in runs] == [(50, "reflections"), (2, "time")]
+        for traj in runs:
+            assert all(column.flags.c_contiguous for column in (*traj.start.T, *traj.end.T))
 
     def test_memory_peak_is_the_columns(self):
         table = BookTable(k=-1.0, sheets=3)
