@@ -359,8 +359,8 @@ def _bounce_map(
     start, end = np.empty((rows, 4), order="F"), np.empty((rows, 4), order="F")
     start[0] = (initial.x, initial.y, initial.vx, initial.vy)
     row = (hit.x, hit.y, hit.vx, hit.vy)
-    # a block at a time, so the temporaries stay small: block lo turns the hit
-    # by lo*dphi, then by the table of turns i*dphi that every block shares
+    # a block at a time, so its table and scratch stay small: block lo turns
+    # the hit by lo*dphi, then by the table of turns i*dphi every block shares
     turns = np.arange(min(hits, _BLOCK)) * dphi
     cos, sin = np.cos(turns), np.sin(turns)
     scratch = np.empty((2, len(turns)))
@@ -375,7 +375,8 @@ def _bounce_map(
             np.add(np.multiply(s, px, out=oy), np.multiply(c, py, out=u), out=oy)
         # every start after the first is the reflection of the previous hit,
         # by reflect()'s operations in its order, so it sits exactly where that
-        # hit is; the last hit of a run stopped by max_reflections starts nothing
+        # hit is; the last hit of a run stopped by max_reflections starts nothing.
+        # The starts' velocity columns hold r, then vn2, before the reflected velocity.
         m = min(hi, rows - 1) - lo
         start[lo + 1 : lo + 1 + m, :2] = end[lo : lo + m, :2]
         x, y, vx, vy, u, v = x[:m], y[:m], vx[:m], vy[:m], u[:m], v[:m]

@@ -567,9 +567,9 @@ class TestBounceMap:
             short = simulate(table, start, max_reflections=m)
             assert all(first_rows(traj, m) == short for traj in runs)
         for traj in runs:
-            # each hit is the one before turned by the same angle, across the
-            # block edges too: the turns about each edge, as further in, the
-            # rounding of i*dphi in the table of turns grows with i
+            # each hit is the one before turned by the same angle across each
+            # block edge; only the turns about the edges are read, as within a
+            # block the rounding of i*dphi in the table of turns grows with i
             hits = traj.end[: traj.reflections, 0] + 1j * traj.end[: traj.reflections, 1]
             turns = hits[1:] * hits[:-1].conj()
             edges = (np.arange(_BLOCK, traj.reflections, _BLOCK)[:, None] + np.arange(-3, 3)).ravel()
