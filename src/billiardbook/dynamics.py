@@ -15,9 +15,8 @@ instead of an error source. Each formula is one function of plain arithmetic:
 one state as floats (with math's exp, cos, sin and sqrt, as a numpy call costs
 more than the work) and numpy columns of states get the same bits from it.
 The bounce map's block kernel is apart, as floats take no ``out=``: it writes
-the turn and the reflection into a run's columns in place, by the same
-operations in the same order, and tests pin it to _rotated() and reflect()
-bit for bit.
+the turn and the reflection into a run's columns in place, in the operations
+and order of _rotated() and reflect(), which tests pin to it bit for bit.
 
 The flow and the wall are invariant under rotation, and (H, F) fixes a
 wall-to-wall arc up to rotation, so after the first wall hit every arc is the
@@ -83,7 +82,7 @@ class Trajectory(Sequence):
 
     Row i of ``start`` and ``end`` is (x, y, vx, vy) at the two ends of
     segment i, ``sheet[i]`` its sheet and ``duration[i]`` its length in time.
-    Both are column-major, so ``start.T[c]`` and ``end.T[c]`` are contiguous.
+    Both are held column-major, so ``start.T[c]`` and ``end.T[c]`` are contiguous.
     The first ``reflections`` segments end at a wall hit followed by a
     reflection; if ``boundary_orbit`` is set, the last segment slides along
     the wall. ``stop_reason`` says why the run ended: ``"reflections"``
@@ -107,7 +106,8 @@ class Trajectory(Sequence):
         stop_reason: str,
         boundary_orbit: bool = False,
     ) -> None:
-        self.start, self.end, self.sheet, self.duration = columns
+        start, end, self.sheet, self.duration = columns
+        self.start, self.end = np.asfortranarray(start), np.asfortranarray(end)
         self.reflections = reflections
         self.stop_reason = stop_reason
         self.boundary_orbit = boundary_orbit
@@ -310,8 +310,8 @@ def _arcs(arcs: list, reflections: int, stop_reason: str, boundary_orbit=False) 
     (start, duration, end) arcs; each arc lies on its start's sheet."""
     return Trajectory(
         (
-            np.array([(s.x, s.y, s.vx, s.vy) for s, _, _ in arcs], float, order="F").reshape(-1, 4),
-            np.array([(e.x, e.y, e.vx, e.vy) for _, _, e in arcs], float, order="F").reshape(-1, 4),
+            np.array([(s.x, s.y, s.vx, s.vy) for s, _, _ in arcs], dtype=float).reshape(-1, 4),
+            np.array([(e.x, e.y, e.vx, e.vy) for _, _, e in arcs], dtype=float).reshape(-1, 4),
             np.array([s.sheet for s, _, _ in arcs], dtype=int),
             np.array([d for _, d, _ in arcs], dtype=float),
         ),
