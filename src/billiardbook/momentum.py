@@ -95,7 +95,8 @@ def _root_and_rho0(xp, h, f, k):
     cancellation in (root - h)/(-k). The selects pick operands, so (0, 0) divides by -k, not 0."""
     root = xp.sqrt(h * h - k * f * f)
     s = root + abs(h)  # root - h where h <= 0
-    return root, xp.where(h > 0.0, f * f, s) / xp.where(h > 0.0, s, -k)
+    positive = h > 0.0
+    return root, xp.where(positive, f * f, s) / xp.where(positive, s, -k)
 
 
 def _require_number(h: float, f: float, what="value", error=ValidationError) -> None:

@@ -145,7 +145,8 @@ def _gate(xp, table: BookTable, h, f, what="value", error=ValidationError):
     root, rho0 = _root_and_rho0(xp, h, f, k)
     cosh_wt = xp.divide(1.0 - h / k, root / -k)  # (1 - gamma)/alpha, w^2 = -k
     if xp is np:  # arrays: the first value without a period (NaN fails c > 1) is refused below
-        usable = (cosh_wt > 1.0) & ~np.any(_fiber_tests(h, f, k), axis=0)
+        outside, singular, circle = _fiber_tests(h, f, k)
+        usable = (cosh_wt > 1.0) & ~(outside | singular | circle)
         if usable.all():
             return cosh_wt, rho0
         h, f, cosh_wt = (v[np.argmin(usable)] for v in (h, f, cosh_wt))
@@ -177,7 +178,7 @@ def radial_period_simulated(table: BookTable, h: float, f: float) -> PeriodSampl
     a = boundary_state(table, h, f)
     t_r = time_to_boundary(a, table.k)
     b = flow_free(a, t_r, table.k)
-    dphi = math.atan2(a.x * b.y - a.y * b.x, a.x * b.x + a.y * b.y)
+    dphi = math.atan2(b.y, b.x)  # a is (1, 0)
     return PeriodSample(h, f, t_r, dphi, table.sheets * dphi)
 
 
@@ -218,10 +219,12 @@ def loop_around_origin(
     return list(zip(h.tolist(), f.tolist()))
 
 
-def _unwrap(dphi: np.ndarray) -> np.ndarray:
-    """dphi moved by whole turns so that each step is the nearest to zero."""
-    turns = np.cumsum(np.round(np.diff(dphi) / (2.0 * math.pi)))
-    return dphi - 2.0 * math.pi * np.concatenate(([0.0], turns))
+def _unwrap(dphi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dphi moved by whole turns so that each step is the nearest to zero, and the steps' sizes."""
+    turns = np.zeros(dphi.size)
+    np.rint((dphi[1:] - dphi[:-1]) / (2.0 * math.pi)).cumsum(out=turns[1:])
+    unwrapped = dphi - 2.0 * math.pi * turns
+    return unwrapped, np.abs(unwrapped[1:] - unwrapped[:-1])
 
 
 def _waypoints(loop) -> np.ndarray:
@@ -231,7 +234,7 @@ def _waypoints(loop) -> np.ndarray:
             return np.fromiter(chain.from_iterable(loop), float, 2 * len(loop)).reshape(-1, 2).T
     for i, point in enumerate(loop):
         with suppress(TypeError, ValueError):
-            if np.fromiter(point, float).shape == (2,):
+            if len(point) == 2 and np.fromiter(point, float).shape == (2,):
                 continue
         raise ValidationError(f"loop waypoint {i} {point!r} is not a pair of numbers")
 
@@ -239,28 +242,27 @@ def _waypoints(loop) -> np.ndarray:
 def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> MonodromyReport:
     """Continue the unwrapped theta along the closed loop and read off m.
 
-    The closed forms run on all waypoints in one array pass. dphi jumps only
-    by 2*pi, across the cut f = 0, h > 0, so dphi (not theta = n * dphi,
-    whose steps alias once they near 2*pi) is unwrapped, each step taken
-    nearest to zero, and theta_unwrapped = n * dphi_unwrapped. Waypoint gaps
-    whose unwrapped dphi step is still >= pi/2 are bisected, each round's
-    midpoints in one array pass, until every step is below pi/2. Each pass
-    is gated once: a refused waypoint raises ValidationError, a refused
-    midpoint ConvergenceError. After a full turn theta gains 2*pi*m. The
-    report's unwrap_margin is the largest dphi step over pi/2.
+    The samples fill one block of rows h, f, T_r, dphi and theta in place. dphi jumps only by 2*pi,
+    across the cut f = 0, h > 0, so dphi (not theta = n * dphi, whose steps alias near 2*pi) is
+    unwrapped, each step nearest to zero, and theta_unwrapped = n * dphi_unwrapped. Gaps whose step
+    is still >= pi/2 are bisected until none is; each round gates its new values once, in one array
+    pass of the closed forms, and takes the unwrap's steps once. A refused waypoint raises
+    ValidationError, a refused midpoint ConvergenceError. After a full turn theta gains 2*pi*m;
+    unwrap_margin is the largest dphi step over pi/2.
     """
     if len(loop) < 3:
         raise ValidationError("loop needs at least 3 waypoints")
-    # rows h, f, T_r, dphi; the loop is closed: its last sample is loop[0] again
-    block = np.vstack((hf := _waypoints(loop), *_period_columns(table, *hf, "loop waypoint")))
-    block = np.append(block, block[:, :1], axis=1)
+    # the loop is closed: its last sample is loop[0] again; theta's row is written last
+    block = np.empty((5, len(loop) + 1))
+    block[:2, :-1] = _waypoints(loop)
+    block[2, :-1], block[3, :-1] = _period_columns(table, *block[:2, :-1], "loop waypoint")
+    block[:4, -1] = block[:4, 0]
 
     for depth in range(MAX_REFINE_DEPTH + 1):
-        unwrapped = _unwrap(block[3])
-        steps = np.abs(np.diff(unwrapped))
-        gaps = np.flatnonzero(steps >= UNWRAP_STEP)
-        if not gaps.size:
+        unwrapped, steps = _unwrap(block[3])
+        if (largest := steps.max()) < UNWRAP_STEP:
             break
+        gaps = np.flatnonzero(steps >= UNWRAP_STEP)
         if depth == MAX_REFINE_DEPTH:
             (h0, f0), (h1, f1) = block[:2, gaps[0]], block[:2, gaps[0] + 1]
             raise ConvergenceError(
@@ -268,22 +270,22 @@ def continue_theta(table: BookTable, loop: list[tuple[float, float]]) -> Monodro
             )
         mids = (block[:2, gaps] + block[:2, gaps + 1]) / 2.0
         periods = _period_columns(table, *mids, "bisection midpoint", ConvergenceError)
-        block = np.insert(block, gaps + 1, np.vstack((mids, *periods)), axis=1)
+        block = np.insert(block, gaps + 1, np.vstack((mids, *periods, periods[1])), axis=1)
 
     # the last sample is loop[0] again, so dphi gains whole turns, and m is n times their count,
     # in integers; m is as trustworthy as the largest step is clear of the unwrapping limit
     n = table.sheets
+    np.multiply(n, block[3], out=block[4])
     m = int(n) * round((unwrapped[-1] - unwrapped[0]) / (2.0 * math.pi))
     unwrapped = (n * unwrapped).tolist()
-    delta = unwrapped[-1] - unwrapped[0]
     # h > 0 gluing matrix [[1, m], [0, -1]]: r = alpha/beta mod 1 = 1/m mod 1
     return MonodromyReport(
         loop=tuple(loop),
-        samples=PeriodSamples(np.vstack((block, n * block[3]))),
+        samples=PeriodSamples(block),
         theta_unwrapped=tuple(unwrapped),
-        delta_theta=delta,
+        delta_theta=unwrapped[-1] - unwrapped[0],
         m=m,
-        unwrap_margin=float(steps.max()) / UNWRAP_STEP,
+        unwrap_margin=float(largest) / UNWRAP_STEP,
         bisections=block.shape[1] - len(loop) - 1,
         monodromy_matrix=((1, 0), (m, 1)),
         gluing_matrix_hpos=((1, m), (0, -1)) if m != 0 else None,

@@ -670,6 +670,8 @@ REFUSED = {
                          "rounds T_r to 0"),
     "monodromy-f-max-1e8": (["monodromy", "--f-max", "1e8"], "loop corner (1e+16, "),
     "monodromy-f-max-1e10": (["monodromy", "--f-max", "1e10"], "loop corner (1e+20, "),
+    "monodromy-c-0": (["monodromy", "--c", "0"], "c must lie strictly between 0 and 1"),
+    "monodromy-c-1": (["monodromy", "--c", "1"], "c must lie strictly between 0 and 1"),
     "simulate-seed-negative": (["simulate", "--seed", "-1", "--reflections", "3"],
                                "--seed must be non-negative"),
     "classify-without-value-or-grid": (["classify", "-k", "-1"], "--h and --f"),

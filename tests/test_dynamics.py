@@ -885,6 +885,23 @@ class TestStopReason:
         assert t0 + (hits - 1) * t_r < max_time <= t0 + hits * t_r
         assert tail == max_time - (t0 + (hits - 1) * t_r)
 
+    @pytest.mark.parametrize("reflections", [1, 2, 3, 7])
+    def test_hit_at_exactly_max_time_does_not_count(self, reflections):
+        # hit R, the last that max_reflections = R allows, comes exactly at max_time: like any
+        # hit at or past max_time it is the time stop's cut, so R - 1 reflections are made. Hits
+        # 1 and 2 are the head arcs', later ones the bounce map's; one ulp more time counts hit R
+        start = PhaseState(1, 0.5, 0.0, 0.0, 1.0)
+        t0, t_r = simulate(TABLE, start, max_reflections=2).duration.tolist()
+        tie = t0 + (reflections - 1) * t_r
+        traj = simulate(TABLE, start, reflections, max_time=tie)
+        made = reflections - 1
+        assert (traj.stop_reason, traj.reflections, len(traj)) == ("time", made, reflections)
+        assert traj.duration[-1] == (tie - (t0 + (made - 1) * t_r) if made else tie)
+        if reflections > 2:
+            assert _hit_count(t0, t_r, reflections, tie) == (made, traj.duration[-1])
+        later = simulate(TABLE, start, reflections, max_time=math.nextafter(tie, math.inf))
+        assert (later.stop_reason, later.reflections) == ("reflections", reflections)
+
     def test_reflection_onto_the_stable_manifold(self):
         # (h, f) = (0, 0) to rounding: the first hit reflects v = w x exactly
         # onto v = -w x, which falls into the equilibrium and never hits again

@@ -25,7 +25,7 @@ from billiardbook import (
     simulate,
 )
 from billiardbook.monodromy import (
-    PeriodSamples, _period_columns, molecule_labels, theta_center_limit,
+    UNWRAP_STEP, PeriodSamples, _period_columns, _unwrap, molecule_labels, theta_center_limit,
 )
 
 K = -1.0
@@ -338,6 +338,12 @@ class TestLoopAroundOrigin:
         with pytest.raises(ValidationError):
             loop_around_origin(table, c=1.5)
 
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_c_at_either_end_rejected(self, c):
+        # c = 0 would divide by zero in the arc's h = (f^2 + c^2 k)/(2c)
+        with pytest.raises(ValidationError, match="^c must lie strictly between 0 and 1$"):
+            loop_around_origin(BookTable(k=K, sheets=1), c=c)
+
     @pytest.mark.parametrize("f_max", [0.0, -0.8])
     def test_non_positive_f_max_rejected(self, f_max):
         with pytest.raises(ValidationError, match="^f_max must be positive$"):
@@ -431,6 +437,28 @@ class TestContinueTheta:
             assert np.abs(np.array(report.theta_unwrapped) - reference).max() <= 1e-12
             assert report.m == round((reference[-1] - reference[0]) / (2.0 * math.pi)) == n
 
+    @pytest.mark.parametrize("n,points_per_arc,loop_args", [
+        *((n, ppa, {}) for n in range(1, 6) for ppa in (64, 65, 128, 256)),
+        (5, 4, {"c": 0.5, "f_max": 0.55}),  # bisected
+    ])
+    def test_samples_are_the_closed_forms_bit_for_bit(self, n, points_per_arc, loop_args):
+        # the block continue_theta fills in place holds exactly what one array pass of the
+        # closed forms gives at its (h, f), theta is n * dphi, and the margin and theta_unwrapped
+        # are those of unwrapping the dphi row
+        table = BookTable(k=K, sheets=n)
+        loop = loop_around_origin(table, points_per_arc=points_per_arc, **loop_args)
+        report = continue_theta(table, loop)
+        s = report.samples
+        assert (report.bisections > 0) == bool(loop_args)
+        t_r, dphi = _period_columns(table, s.h, s.f)
+        assert (s.T_r.tobytes(), s.dphi.tobytes()) == (t_r.tobytes(), dphi.tobytes())
+        assert s.theta.tobytes() == (n * s.dphi).tobytes()
+        unwrapped, steps = _unwrap(s.dphi)
+        diffs = np.abs(np.diff(unwrapped))
+        assert steps.tobytes() == diffs.tobytes()
+        assert report.unwrap_margin == float(diffs.max()) / UNWRAP_STEP
+        assert report.theta_unwrapped == tuple((n * unwrapped).tolist())
+
     def test_bisection_keeps_loop_order(self):
         table = BookTable(k=K, sheets=5)
         loop = loop_around_origin(table, c=0.5, f_max=0.55, points_per_arc=4)
@@ -516,6 +544,9 @@ class TestContinueTheta:
     @pytest.mark.parametrize("h,f", [
         (0.3, 1e200), (-1.0, 0.5), (-0.375, 0.5), (0.0, 0.0), (1e16, 0.5), (1e200, 0.5),
         (1e150, 0.5), (2e154, 0.5),
+        # within SIGMA_TOL of the parabola inside the image, and 2.2e-7 outside it, each with a
+        # cosh(w T_r) that rounds above 1: only the fiber tests refuse them
+        (-0.375 + 5e-10, 0.5), (201601.8052343674, 634.9839450483619),
     ])
     def test_refuses_a_value_for_the_scalar_forms_reason(self, h, f):
         # one gate, one rule: the fiber if it is not a regular value, else cosh(w T_r)
@@ -550,7 +581,9 @@ class TestContinueTheta:
         # 8 numbers for 4 waypoints: the count alone would read them as pairs
         ([(0.3, 0.5), (0.3, 0.5, 1.0), (0.2,), (0.1, 0.2)], r"1 \(0\.3, 0\.5, 1\.0\)"),
         ([(0.3, 0.5), (0.2, 0.1), 0.4], r"2 0\.4"),
-    ], ids=["3-tuples", "ragged", "not-numbers", "ragged-to-an-even-count", "not-a-pair"])
+        # two numbers, but no length: read once, it could not be reported in the loop
+        ([(0.3, 0.5), iter((0.2, 0.1)), (0.1, 0.2)], r"1 <tuple_iterator object at 0x[0-9a-f]+>"),
+    ], ids=["3-tuples", "ragged", "not-numbers", "ragged-to-an-even-count", "not-a-pair", "iterator"])
     def test_malformed_waypoint_is_refused_by_name(self, loop, named):
         table = BookTable(k=K, sheets=2)
         with pytest.raises(ValidationError, match=rf"^loop waypoint {named} is not a pair of numbers$"):
